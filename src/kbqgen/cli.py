@@ -14,7 +14,6 @@ from pathlib import Path
 
 from . import autodiff as ad
 from . import corpus as cp
-from . import decoder as dec
 from . import kbembed
 from . import metrics
 from . import trainer as tr
@@ -95,25 +94,21 @@ def cmd_train(args):
     return 0
 
 
+def _fact_ids(dataset, example):
+    fact = example.fact
+    return " ".join(dataset.kbvocab.token(i) for i in (fact.subject, fact.predicate, fact.object))
+
+
 def cmd_generate(args):
     ckpt = tr.load_checkpoint(args.checkpoint)
     cfg = tr.parse_config(text=ckpt.config_text)
     dataset = cp.load_dataset(args.data_dir, diversified=cfg.diversified, min_freq=cfg.min_freq)
     model = tr.model_from_checkpoint(cfg, dataset, ckpt)
-    examples = dataset.examples(args.split)
-    lines = []
-    for example in examples:
-        if args.beam <= 1:
-            tokens, modes = dec.greedy_decode(model, example, max_len=cfg.max_len)
-        else:
-            tokens, modes = dec.beam_decode(model, example, beam_width=args.beam, max_len=cfg.max_len)
-        name = dataset.entities[dataset.kbvocab.token(example.fact.subject)].name
-        realized = dec.surface_realize(tokens, name)
-        fact_ids = " ".join(
-            dataset.kbvocab.token(i)
-            for i in (example.fact.subject, example.fact.predicate, example.fact.object)
-        )
-        lines.append(f"{fact_ids}\t{realized}\t{modes}")
+    decoded = tr.decode_split(model, dataset, args.split, beam=args.beam, max_len=cfg.max_len)
+    lines = [
+        f"{_fact_ids(dataset, example)}\t{' '.join(realized)}\t{modes}"
+        for example, (realized, modes) in zip(dataset.examples(args.split), decoded)
+    ]
     Path(args.out).write_text("".join(l + "\n" for l in lines), encoding="utf-8")
     print(f"wrote {len(lines)} generations to {args.out}")
     return 0
@@ -127,20 +122,18 @@ def cmd_eval(args):
         raise cp.IngestionError(
             f"{args.generations}: {len(lines)} lines for {len(examples)} {args.split} examples"
         )
-    candidates = []
+    candidates, ann_rows = [], []
     for i, (line, example) in enumerate(zip(lines, examples), 1):
         parts = line.split("\t")
         if len(parts) < 2:
             raise cp.IngestionError(f"{args.generations}:{i}: expected fact<TAB>question")
-        fact_ids = " ".join(
-            dataset.kbvocab.token(x)
-            for x in (example.fact.subject, example.fact.predicate, example.fact.object)
-        )
+        fact_ids = _fact_ids(dataset, example)
         if parts[0] != fact_ids:
             raise cp.IngestionError(
                 f"{args.generations}:{i}: fact ids {parts[0]!r} do not match split ({fact_ids!r})"
             )
         candidates.append(parts[1].split())
+        ann_rows.append((parts[0], " ".join(example.contexts.predicate_words), parts[1]))
     references = [list(ex.raw_question_words) for ex in examples]
     answer_sets = [set(ex.answer_type_words) for ex in examples]
     report = metrics.evaluate(candidates, references, answer_sets)
@@ -159,12 +152,6 @@ def cmd_eval(args):
     (out_dir / "per_example.tsv").write_text(
         "".join(l + "\n" for l in per_example), encoding="utf-8"
     )
-    ann_rows = []
-    for line, example in zip(lines, examples):
-        parts = line.split("\t")
-        ann_rows.append(
-            (parts[0], " ".join(example.contexts.predicate_words), parts[1])
-        )
     metrics.export_annotation_sample(
         ann_rows, n=min(args.annotation_size, len(ann_rows)), seed=args.seed,
         path=out_dir / "annotation_sample.tsv",
@@ -326,7 +313,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (tr.ConfigError, cp.IngestionError, kbembed.KBConfigError) as exc:
+    except (tr.ConfigError, cp.IngestionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OSError, ad.ContractError, ad.ShapeError, ad.NumericError) as exc:

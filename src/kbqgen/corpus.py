@@ -321,9 +321,6 @@ class Dataset:
     def examples(self, split):
         return self.splits[split]
 
-    def all_facts(self):
-        return [ex.fact for exs in self.splits.values() for ex in exs]
-
 
 def _load_fact_rows(path):
     rows = []

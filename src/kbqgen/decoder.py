@@ -90,15 +90,15 @@ class CopySource:
             self.groups[group_of[tok]].append(m)
         self._group_of = group_of
         self.group_ext_ids = []
-        n_oov = 0
+        self.oov_tokens = []  # the token of each extension slot, in slot order
         for tok in self.group_tokens:
             if tok in vocab:
                 self.group_ext_ids.append(vocab.id(tok))
             else:
-                self.group_ext_ids.append(self.vocab_size + n_oov)
-                n_oov += 1
-        self.n_oov = n_oov
-        self.n_extended = self.vocab_size + n_oov
+                self.group_ext_ids.append(self.vocab_size + len(self.oov_tokens))
+                self.oov_tokens.append(tok)
+        self.n_oov = len(self.oov_tokens)
+        self.n_extended = self.vocab_size + self.n_oov
         self._vocab = vocab
         self._scatter = None
 
@@ -121,11 +121,7 @@ class CopySource:
     def extended_token(self, ext_id):
         if ext_id < self.vocab_size:
             return self._vocab.token(ext_id)
-        i = ext_id - self.vocab_size
-        for g, ext in enumerate(self.group_ext_ids):
-            if ext == self.vocab_size + i:
-                return self.group_tokens[g]
-        raise IndexError(f"extended id {ext_id} out of range")
+        return self.oov_tokens[ext_id - self.vocab_size]
 
 
 def decode_states(prev_ids, h_f, params, drop=None):
@@ -173,6 +169,11 @@ def decode_states(prev_ids, h_f, params, drop=None):
     return x
 
 
+def mode_mask(use_kb_copy, use_ctx_copy):
+    """[1, 3] logit offsets that switch the disabled copy modes off."""
+    return np.array([[0.0, 0.0 if use_kb_copy else -1e9, 0.0 if use_ctx_copy else -1e9]])
+
+
 def mode_switch(states, prev_emb, params, use_kb_copy=True, use_ctx_copy=True):
     """Per-step (p_genv, p_cpkb, p_cpctx) as rows of [T, 3].
 
@@ -189,11 +190,7 @@ def mode_switch(states, prev_emb, params, use_kb_copy=True, use_ctx_copy=True):
     logits = ad.concat(
         [ad.gather_cols(lin, [0]), kb_logit, ad.gather_cols(lin, [2])], axis=1
     )
-    mask = np.zeros((1, 3))
-    if not use_kb_copy:
-        mask[0, 1] = -1e9
-    if not use_ctx_copy:
-        mask[0, 2] = -1e9
+    mask = mode_mask(use_kb_copy, use_ctx_copy)
     if mask.any():
         logits = ad.add(logits, ad.tensor(mask))
     return ad.softmax_rows(logits)
@@ -231,8 +228,8 @@ def mix_distributions(modes, p_vocab, p_ctx, copy_source):
     """Eq-style mixture over the extended vocabulary; rows sum to 1.
 
     A context token that is also a vocab word accumulates both its
-    generation and its copy mass on the shared entry; the KB-copy mode is a
-    point mass on the subject placeholder.
+    generation and its copy mass on the shared entry; the KB-copy mode
+    weighs kb_copy_distribution.
     """
     t_len = modes.data.shape[0]
     p_g = ad.gather_cols(modes, [0])
@@ -245,9 +242,7 @@ def mix_distributions(modes, p_vocab, p_ctx, copy_source):
     else:
         base = p_vocab
     term_gen = ad.mul(base, p_g)
-    subj_row = np.zeros((1, copy_source.n_extended))
-    subj_row[0, SUBJ] = 1.0
-    term_kb = ad.matmul(p_k, ad.tensor(subj_row))
+    term_kb = ad.matmul(p_k, kb_copy_distribution(copy_source))
     scattered = ad.matmul(p_ctx, ad.tensor(copy_source.scatter_matrix()))
     term_ctx = ad.mul(scattered, p_c)
     return ad.add(ad.add(term_gen, term_kb), term_ctx)
@@ -312,12 +307,7 @@ class Generator:
         ]
         self.self_cache = [([], []) for _ in params.layers]
         self.t = 0
-        mask = np.zeros(3)
-        if not model.use_kb_copy:
-            mask[1] = -1e9
-        if not model.use_ctx_copy:
-            mask[2] = -1e9
-        self.mode_mask = mask
+        self.mode_mask = mode_mask(model.use_kb_copy, model.use_ctx_copy)[0]
 
     def clone(self):
         other = object.__new__(Generator)

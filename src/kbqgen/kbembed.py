@@ -14,10 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-
-
-class KBConfigError(ValueError):
-    pass
+from . import textckpt
+from .textckpt import ConfigError
 
 
 @dataclass
@@ -46,10 +44,10 @@ def pretrain_transe(triples, kbvocab, d, margin=1.0, lr=0.01, epochs=50, neg_per
     with per-epoch mean hinge losses attached.
     """
     if margin <= 0:
-        raise KBConfigError(f"TransE margin must be positive, got {margin}")
+        raise ConfigError(f"TransE margin must be positive, got {margin}")
     triples = [(f.subject, f.predicate, f.object) if hasattr(f, "subject") else tuple(f) for f in triples]
     if not triples:
-        raise KBConfigError("TransE needs at least one triple")
+        raise ConfigError("TransE needs at least one triple")
     k = len(kbvocab)
     n_entities = kbvocab.n_entities
     emb = init_random(k, d, seed)
@@ -112,28 +110,14 @@ def lookup(fact, table_tensor):
     return e_s, e_p, e_o
 
 
-def transe_distance(table, s, p, o):
-    return float(np.linalg.norm(table[s] + table[p] - table[o]))
-
-
 def save_checkpoint(emb, path):
-    """Text checkpoint: header then one row of %.17g decimals per KB symbol."""
-    k, d = emb.table.shape
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"kbqgen-kb 1\nk {k}\nd {d}\npretrained {int(emb.pretrained)}\n")
-        for row in emb.table:
-            fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
+    """Text checkpoint: the pretrained flag, then the table as one block."""
+    textckpt.write(path, "kbqgen-kb", [("pretrained", int(emb.pretrained))], [("table", emb.table)])
 
 
 def load_checkpoint(path):
-    with open(path, encoding="utf-8") as fh:
-        magic = fh.readline().split()
-        if magic[:1] != ["kbqgen-kb"]:
-            raise KBConfigError(f"{path}: not a KB checkpoint")
-        k = int(fh.readline().split()[1])
-        d = int(fh.readline().split()[1])
-        pretrained = bool(int(fh.readline().split()[1]))
-        table = np.empty((k, d))
-        for i in range(k):
-            table[i] = np.fromstring(fh.readline(), sep=" ")
-    return KBEmbeddingMatrix(table=table, pretrained=pretrained)
+    header, blocks = textckpt.read(path, "kbqgen-kb")
+    if list(blocks) != ["table"]:
+        raise ConfigError(f"{path}: blocks {sorted(blocks)}, expected only 'table'")
+    pretrained = textckpt.field(path, header, "pretrained", {"0": False, "1": True}.__getitem__)
+    return KBEmbeddingMatrix(table=blocks["table"], pretrained=pretrained)

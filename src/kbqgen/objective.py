@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import autodiff as ad
 
 PROB_FLOOR = 1e-12
@@ -42,19 +44,11 @@ def answer_loss(step_distributions, answer_ext_ids):
     """
     if not answer_ext_ids:
         return ad.tensor([[0.0]]), None
-    probs = step_distributions.data
-    # min cross entropy == max probability; enumerate answer-word-major,
-    # step-minor, keeping the first strict maximum for determinism
-    best = None
-    best_val = None
-    for a in answer_ext_ids:
-        col = probs[:, a]
-        for t in range(col.shape[0]):
-            val = float(col[t])
-            if best_val is None or val > best_val:
-                best_val = val
-                best = (a, t)
-    a_star, t_star = best
+    # min cross entropy == max probability; argmax over the answer-major,
+    # step-minor flattening keeps the first strict maximum for determinism
+    probs = step_distributions.data[:, answer_ext_ids].T  # [answers, steps]
+    a_index, t_star = divmod(int(np.argmax(probs)), probs.shape[1])
+    a_star = answer_ext_ids[a_index]
     row = ad.gather(step_distributions, [t_star])
     loss = ad.neg_log_prob(row, [a_star], floor=PROB_FLOOR)
     return loss, (a_star, t_star)
@@ -66,15 +60,3 @@ def total_loss(ques, ans, lam):
         raise ad.ContractError(f"answer-loss weight must be >= 0, got {lam}")
     return ad.add(ques, ad.scale(ans, lam))
 
-
-def evaluate_losses(step_distributions, gold_ext_ids, answer_ext_ids, lam):
-    """Convenience wrapper returning (total tensor, LossBreakdown)."""
-    ques = question_loss(step_distributions, gold_ext_ids)
-    ans, pair = answer_loss(step_distributions, answer_ext_ids)
-    total = total_loss(ques, ans, lam)
-    return total, LossBreakdown(
-        ques_loss=ques.item(),
-        ans_loss=ans.item(),
-        total_loss=total.item(),
-        argmin_pair=pair,
-    )

@@ -19,14 +19,12 @@ from . import decoder as dec
 from . import kbembed
 from . import metrics
 from . import objective as obj
+from . import textckpt
 from .model import Model
+from .textckpt import ConfigError
 
 RHO = 0.9
 EPSILON = 1e-8
-
-
-class ConfigError(ValueError):
-    pass
 
 
 @dataclass
@@ -200,42 +198,24 @@ class TrainResult:
 
 
 def save_checkpoint(ckpt, path):
-    cfg_lines = [l for l in ckpt.config_text.splitlines() if l]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"kbqgen-model 1\nepoch {ckpt.epoch}\nconfighash {ckpt.config_hash}\n")
-        fh.write(f"config {len(cfg_lines)}\n")
-        for line in cfg_lines:
-            fh.write(line + "\n")
-        for section, table in (("tensor", ckpt.tensors), ("moment", ckpt.moments)):
-            for name, arr in table.items():
-                rows, cols = arr.shape
-                fh.write(f"{section} {name} {rows} {cols}\n")
-                for row in arr:
-                    fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
+    header = [("epoch", ckpt.epoch), ("confighash", ckpt.config_hash)]
+    header += [("config", line) for line in ckpt.config_text.splitlines() if line]
+    blocks = [(f"tensor/{name}", arr) for name, arr in ckpt.tensors.items()]
+    blocks += [(f"moment/{name}", arr) for name, arr in ckpt.moments.items()]
+    textckpt.write(path, "kbqgen-model", header, blocks)
 
 
 def load_checkpoint(path):
-    tensors, moments = {}, {}
-    with open(path, encoding="utf-8") as fh:
-        magic = fh.readline().split()
-        if magic[:1] != ["kbqgen-model"]:
-            raise ConfigError(f"{path}: not a model checkpoint")
-        epoch = int(fh.readline().split()[1])
-        config_hash = fh.readline().split()[1]
-        n_cfg = int(fh.readline().split()[1])
-        config_text = "".join(fh.readline() for _ in range(n_cfg))
-        while True:
-            header = fh.readline()
-            if not header:
-                break
-            section, name, rows, cols = header.split()
-            arr = np.empty((int(rows), int(cols)))
-            for i in range(int(rows)):
-                arr[i] = np.fromstring(fh.readline(), sep=" ")
-            (tensors if section == "tensor" else moments)[name] = arr
+    header, blocks = textckpt.read(path, "kbqgen-model")
+    tensors = {b[len("tensor/"):]: arr for b, arr in blocks.items() if b.startswith("tensor/")}
+    moments = {b[len("moment/"):]: arr for b, arr in blocks.items() if b.startswith("moment/")}
+    if len(tensors) + len(moments) != len(blocks):
+        raise ConfigError(f"{path}: a block named neither tensor/<name> nor moment/<name>")
     return Checkpoint(
-        tensors=tensors, moments=moments, epoch=epoch,
-        config_hash=config_hash, config_text=config_text,
+        tensors=tensors, moments=moments,
+        epoch=textckpt.field(path, header, "epoch", int),
+        config_hash=textckpt.field(path, header, "confighash"),
+        config_text="".join(line + "\n" for line in header.get("config", ())),
     )
 
 
@@ -249,13 +229,25 @@ def _snapshot(model, optimizer, epoch, config):
     )
 
 
-def _restore(model, optimizer, ckpt):
-    for name, arr in ckpt.tensors.items():
-        if name not in model.registry:
-            raise ConfigError(f"checkpoint tensor {name!r} unknown to this model")
-        model.registry[name].value.data[...] = arr
-    for name, arr in ckpt.moments.items():
-        optimizer.moments[name][...] = arr
+def _restore(model, ckpt, optimizer=None):
+    """Copy a checkpoint's tensors, and with an optimizer its moments, in place.
+
+    Refuses unknown or missing names and wrong shapes before it writes
+    anything. A config-hash difference alone is allowed: a run may resume
+    under more epochs.
+    """
+    targets = [("tensor", ckpt.tensors, {n: p.value.data for n, p in model.registry.items()})]
+    if optimizer is not None:
+        targets.append(("moment", ckpt.moments, optimizer.moments))
+    for kind, source, dest in targets:
+        missing, unknown = sorted(dest.keys() - source.keys()), sorted(source.keys() - dest.keys())
+        wrong = [f"{n} {a.shape}" for n, a in source.items() if n in dest and a.shape != dest[n].shape]
+        if missing or unknown or wrong:
+            raise ConfigError(f"checkpoint {kind}s do not fit this model: missing {missing}, "
+                              f"unknown {unknown}, wrong shape {wrong}")
+    for _, source, dest in targets:
+        for name, arr in source.items():
+            dest[name][...] = arr
 
 
 def load_word_vectors(path, vocab, d):
@@ -351,13 +343,10 @@ def decode_split(model, dataset, split, beam=1, max_len=32):
 
 
 def valid_bleu(model, dataset, split="valid", max_len=32):
-    examples = dataset.splits.get(split, [])
-    if not examples:
-        return 0.0
     decoded = decode_split(model, dataset, split, max_len=max_len)
     return metrics.bleu4(
         [tokens for tokens, _ in decoded],
-        [list(ex.raw_question_words) for ex in examples],
+        [list(ex.raw_question_words) for ex in dataset.examples(split)],
     )
 
 
@@ -379,7 +368,7 @@ def train(config, dataset, kb_matrix=None, resume=None, log=None):
     )
     start_epoch = 0
     if resume is not None:
-        _restore(model, optimizer, resume)
+        _restore(model, resume, optimizer)
         start_epoch = resume.epoch
     train_examples = dataset.examples("train")
     history = []
@@ -413,7 +402,7 @@ def train(config, dataset, kb_matrix=None, resume=None, log=None):
         if diverged:
             return TrainResult(best=best, last=last, history=history, aborted=True)
         mean_loss = epoch_loss / max(len(train_examples), 1)
-        bleu = valid_bleu(model, dataset, max_len=config.max_len)
+        bleu = valid_bleu(model, dataset, max_len=config.max_len) if "valid" in dataset.splits else 0.0
         history.append((epoch, mean_loss, bleu))
         if log is not None:
             log(epoch, mean_loss, bleu)
@@ -431,10 +420,7 @@ def train(config, dataset, kb_matrix=None, resume=None, log=None):
 
 def model_from_checkpoint(config, dataset, ckpt):
     model = build_model(replace(config, transe=False), dataset)
-    for name, arr in ckpt.tensors.items():
-        if name not in model.registry:
-            raise ConfigError(f"checkpoint tensor {name!r} unknown to this model")
-        model.registry[name].value.data[...] = arr
+    _restore(model, ckpt)
     return model
 
 
@@ -449,7 +435,7 @@ COMPONENT_VARIANTS = (
     ("no_ctx_copy", {"use_ctx_copy": False}),
     ("no_kb_copy", {"use_kb_copy": False}),
     ("no_answer_loss", {"question_only": True}),
-    ("no_diversified_contexts", {"diversified": True}),  # handled via dataset reload
+    ("no_diversified_contexts", {"diversified": False}),
 )
 
 
@@ -460,16 +446,11 @@ def ablate_lambda_transe(config, dataset, lambdas=LAMBDA_GRID, transe_options=(T
     for use_transe in transe_options:
         for lam in lambdas:
             run_cfg = replace(config, lam=lam, transe=use_transe)
-            result = train(run_cfg, dataset)
-            model = model_from_checkpoint(run_cfg, dataset, result.best)
-            decoded = decode_split(model, dataset, split, max_len=config.max_len)
+            model = model_from_checkpoint(run_cfg, dataset, train(run_cfg, dataset).best)
+            tokens = [t for t, _ in decode_split(model, dataset, split, max_len=config.max_len)]
             examples = dataset.examples(split)
-            bleu = metrics.bleu4(
-                [t for t, _ in decoded], [list(ex.raw_question_words) for ex in examples]
-            )
-            coverage = metrics.answer_coverage(
-                [t for t, _ in decoded], [set(ex.answer_type_words) for ex in examples]
-            )
+            bleu = metrics.bleu4(tokens, [list(ex.raw_question_words) for ex in examples])
+            coverage = metrics.answer_coverage(tokens, [set(ex.answer_type_words) for ex in examples])
             rows.append({"transe": use_transe, "lambda": lam, "bleu4": bleu, "answer_coverage": coverage})
             if log is not None:
                 log(rows[-1])
@@ -484,22 +465,13 @@ def ablate_components(config, load_dataset_fn, seeds=(0, 1, 2), split="valid", l
     """
     rows = []
     for name, flags in COMPONENT_VARIANTS:
-        diversified = name != "no_diversified_contexts"
-        dataset = load_dataset_fn(diversified)
+        flags = {"diversified": True, **flags}
+        dataset = load_dataset_fn(flags["diversified"])
         bleus = []
         for seed in seeds:
-            run_cfg = replace(config, seed=seed, diversified=diversified, **{
-                k: v for k, v in flags.items() if k != "diversified"
-            })
-            result = train(run_cfg, dataset)
-            model = model_from_checkpoint(run_cfg, dataset, result.best)
-            decoded = decode_split(model, dataset, split, max_len=config.max_len)
-            examples = dataset.examples(split)
-            bleus.append(
-                metrics.bleu4(
-                    [t for t, _ in decoded], [list(ex.raw_question_words) for ex in examples]
-                )
-            )
+            run_cfg = replace(config, seed=seed, **flags)
+            model = model_from_checkpoint(run_cfg, dataset, train(run_cfg, dataset).best)
+            bleus.append(valid_bleu(model, dataset, split, max_len=config.max_len))
         rows.append({"variant": name, "bleu4_median": float(np.median(bleus)), "bleu4_runs": bleus})
         if log is not None:
             log(rows[-1])

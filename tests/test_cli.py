@@ -144,6 +144,19 @@ def test_eval_mismatched_facts_rejected(tmp_path, data_dir):
                "--out", tmp_path / "out") == 2
 
 
+def test_generate_on_checkpoint_cut_mid_row_is_exit_2(tmp_path, data_dir, trained, capsys):
+    text = (trained / "model" / "model.ckpt").read_text(encoding="utf-8")
+    row = text.index("\n", text.index("\nblock ") + 1) + 1  # first row of the first block
+    cut = tmp_path / "cut.ckpt"
+    cut.write_text(text[: row + 10], encoding="utf-8")
+    code = run("generate", "--checkpoint", cut, "--data-dir", data_dir,
+               "--split", "test", "--out", tmp_path / "gen.tsv")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {cut}:") and err.count("\n") == 1
+    assert "Traceback" not in err and not (tmp_path / "gen.tsv").exists()
+
+
 def test_eval_does_not_mutate_inputs(tmp_path, data_dir, trained):
     gen = tmp_path / "gen.tsv"
     run("generate", "--checkpoint", trained / "model" / "model.ckpt",

@@ -304,17 +304,18 @@ def test_shared_token_accumulates_generation_and_copy_mass():
     assert states_probe == pytest.approx(modes[0] * pv + modes[2] * pc, abs=1e-12)
 
 
-def test_teacher_forced_distributions_feed_objective_unchanged():
-    from kbqgen import objective as obj
+def test_teacher_forced_distributions_feed_objective_unchanged(monkeypatch):
+    from kbqgen import trainer as tr
 
     m = make_model(seed=20)
     example = make_example(m.vocab)
     result = m.forward_example(example)
     before = result.distributions.data.tobytes()
-    total, breakdown = obj.evaluate_losses(
-        result.distributions, result.gold_ext_ids, result.answer_ext_ids, lam=0.2
-    )
+    # the training loss reads exactly these distributions
+    monkeypatch.setattr(m, "forward_example", lambda ex, drop=None: result)
+    total, breakdown = tr.example_loss(m, example, tr.TrainConfig(lam=0.2))
     assert result.distributions.data.tobytes() == before
+    assert breakdown.argmin_pair is not None
     assert np.isfinite(breakdown.total_loss)
 
 

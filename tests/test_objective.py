@@ -62,6 +62,16 @@ def test_answer_loss_four_pair_enumeration():
     assert pair == (a1, 1)
 
 
+def test_answer_loss_tie_keeps_first_in_answer_major_order():
+    # 0.4 at (a1, t=1), (a2, t=0) and (a2, t=1): answer-major, step-minor
+    # order meets (a1, t=1) first; step-major order would pick (a2, t=0)
+    a1, a2 = 2, 0
+    rows = [[0.4, 0.3, 0.3], [0.4, 0.2, 0.4]]
+    loss, pair = obj.answer_loss(dist(rows), [a1, a2])
+    assert pair == (a1, 1)
+    assert loss.item() == pytest.approx(-math.log(0.4), abs=1e-12)
+
+
 def test_answer_loss_gradient_only_through_argmin():
     p = ad.Parameter("p", np.array([[0.1, 0.25, 0.65], [0.5, 0.2, 0.3]]))
     loss, pair = obj.answer_loss(p.value, [0, 1])

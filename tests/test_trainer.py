@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -162,6 +163,37 @@ def test_checkpoint_roundtrip_and_resume(dataset, tmp_path):
     for name in full.last.tensors:
         assert np.array_equal(full.last.tensors[name], resumed.last.tensors[name])
     assert [h for h in full.history[2:]] == resumed.history
+
+
+def test_checkpoint_lacking_a_model_tensor_is_refused(dataset):
+    cfg = desk_config(epochs=0)
+    ckpt = tr.train(cfg, dataset).last
+    del ckpt.tensors["copy.w_ctx"]
+    with pytest.raises(tr.ConfigError, match=r"tensors do not fit this model: missing \['copy.w_ctx'\]"):
+        tr.model_from_checkpoint(cfg, dataset, ckpt)
+    with pytest.raises(tr.ConfigError, match=r"tensors do not fit this model: missing \['copy.w_ctx'\]"):
+        tr.train(cfg, dataset, resume=ckpt)
+    ckpt = tr.train(cfg, dataset).last
+    del ckpt.moments["copy.w_ctx"]
+    tr.model_from_checkpoint(cfg, dataset, ckpt)  # moments matter only on resume
+    with pytest.raises(tr.ConfigError, match=r"moments do not fit this model: missing \['copy.w_ctx'\]"):
+        tr.train(cfg, dataset, resume=ckpt)
+
+
+def test_checkpoint_shape_mismatch_leaves_the_model_untouched(dataset):
+    cfg = desk_config(epochs=0)
+    ckpt = tr.train(replace(cfg, seed=1), dataset).last
+    last = list(ckpt.tensors)[-1]
+    ckpt.tensors[last] = ckpt.tensors[last][:, :-1]
+    model = tr.build_model(cfg, dataset)
+    before = {name: p.value.data.copy() for name, p in model.registry.items()}
+    with pytest.raises(tr.ConfigError, match=f"wrong shape \\['{last} "):
+        tr._restore(model, ckpt)
+    assert all(np.array_equal(p.value.data, before[n]) for n, p in model.registry.items())
+    ckpt = tr.train(replace(cfg, seed=1), dataset).last
+    ckpt.tensors["stray"] = np.zeros((1, 1))
+    with pytest.raises(tr.ConfigError, match=r"unknown \['stray'\]"):
+        tr.model_from_checkpoint(cfg, dataset, ckpt)
 
 
 def test_lambda_zero_bit_identical_to_question_only(dataset):

@@ -319,7 +319,10 @@ class Dataset:
     diversified: bool = True
 
     def examples(self, split):
-        return self.splits[split]
+        try:
+            return self.splits[split]
+        except KeyError:
+            raise IngestionError(f"no {split!r} split: facts.{split}.tsv is missing") from None
 
 
 def _load_fact_rows(path):

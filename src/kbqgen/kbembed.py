@@ -111,7 +111,7 @@ def lookup(fact, table_tensor):
 
 
 def save_checkpoint(emb, path):
-    """Text checkpoint: the pretrained flag, then the table as one block."""
+    """textckpt file: the pretrained flag, then the table as one block."""
     textckpt.write(path, "kbqgen-kb", [("pretrained", int(emb.pretrained))], [("table", emb.table)])
 
 

@@ -1,16 +1,23 @@
-"""The text format of model and KB checkpoints, and its one checked parser.
+"""The file format of model and KB checkpoints, and its one checked reader and writer.
 
 A `<magic> <version>` line, `<key> <value>` header lines, blocks that each
-open with `block <name> <rows> <cols>` and hold `rows` lines of `cols` %.17g
-decimals (bit-exact for float64), then an `end` line. read() refuses any
-other text, a truncated file included, with a ConfigError naming the line.
+open with a `block <name> <rows> <cols>` line followed by one line holding the
+base64 of the block's little-endian float64 bytes, then an `end sha256 <hex>`
+line: the SHA-256 of every byte before it. read() refuses any other text, a
+truncated or altered file included, with a ConfigError naming the line.
+write() streams block by block into a temporary file beside the target and
+renames it over the target only once the file is complete.
 """
 
 from __future__ import annotations
 
+import binascii
+import hashlib
+import os
+
 import numpy as np
 
-VERSION = 2
+VERSION = 3
 
 
 class ConfigError(ValueError):
@@ -28,57 +35,86 @@ def field(path, header, key, parse=str):
 
 def write(path, magic, header, blocks):
     """header: (key, value) pairs; blocks: (name, 2-D array) pairs."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{magic} {VERSION}\n")
-        fh.writelines(f"{key} {value}\n" for key, value in header)
-        for name, arr in blocks:
-            fh.write(f"block {name} {arr.shape[0]} {arr.shape[1]}\n")
-            row_format = " ".join(["%.17g"] * arr.shape[1]) + "\n"
-            fh.writelines(row_format % tuple(row.tolist()) for row in arr)
-        fh.write("end\n")
+    path = os.fspath(path)
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    digest = hashlib.sha256()
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            def put(line):
+                digest.update(line)
+                fh.write(line)
+
+            put(f"{magic} {VERSION}\n".encode())
+            for key, value in header:
+                put(f"{key} {value}\n".encode())
+            for name, arr in blocks:
+                put(f"block {name} {arr.shape[0]} {arr.shape[1]}\n".encode())
+                put(binascii.b2a_base64(np.ascontiguousarray(arr, dtype="<f8")))
+            fh.write(f"end sha256 {digest.hexdigest()}\n".encode())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
+def _hashed(fh, digest):
+    """(line number, line) pairs; a line enters the digest once the next one is taken."""
+    taken = b""
+    for lineno, line in enumerate(fh, 1):
+        digest.update(taken)
+        taken = line
+        yield lineno, line
 
 
 def read(path, magic):
     """({key: [values]}, {block name: float64 array}) of a file that write() wrote."""
     header, blocks, lineno = {}, {}, 0
+    digest = hashlib.sha256()
 
     def fail(problem):
         raise ConfigError(f"{path}:{lineno}: {problem}")
 
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = enumerate(fh, 1)
-            lineno, line = next(lines, (1, ""))
-            if line.split() != [magic, str(VERSION)]:
-                fail(f"expected '{magic} {VERSION}', got {line[:40].rstrip()!r}")
-            lineno, line = next(lines, (lineno + 1, ""))
-            while line and line != "end\n" and not line.startswith("block "):
-                key, _, value = line.rstrip("\n").partition(" ")
-                header.setdefault(key, []).append(value)
-                lineno, line = next(lines, (lineno + 1, ""))
-            while line.startswith("block "):
-                parts = line.split()
-                if len(parts) != 4 or not (parts[2] + parts[3]).isdecimal() or parts[1] in blocks:
-                    fail(f"bad or repeated block header {line.rstrip()!r}")
-                name, cols = parts[1], int(parts[3])
-                blocks[name] = arr = np.empty((int(parts[2]), cols))
-                for i in range(arr.shape[0]):
-                    lineno, line = next(lines, (lineno + 1, ""))
-                    if not line.strip():  # np.fromstring reads a blank line as [-1.0]
-                        fail(f"block {name!r}: " + ("an empty row" if line else "file ends in it"))
-                    try:
-                        values = np.fromstring(line, sep=" ")
-                    except ValueError:
-                        fail(f"block {name!r}: a row that is not all numbers")
-                    if values.size != cols:
-                        fail(f"block {name!r}: a row of {values.size} numbers, expected {cols}")
-                    arr[i] = values
-                lineno, line = next(lines, (lineno + 1, ""))
-            if line != "end\n":
-                fail(f"expected a block or the end line, got {line[:40]!r}" if line
-                     else "file ends before the end line")
-            if next(lines, None) is not None:
-                fail("data after the end line")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    def text(line):
+        try:
+            return line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            fail(f"not UTF-8 text ({exc.reason})")
+
+    with open(path, "rb") as fh:
+        lines = _hashed(fh, digest)
+        lineno, line = next(lines, (1, b""))
+        if line.split() != [magic.encode(), str(VERSION).encode()]:
+            got = line[:40].decode("utf-8", "replace").rstrip()
+            fail(f"expected '{magic} {VERSION}', got {got!r}")
+        lineno, line = next(lines, (lineno + 1, b""))
+        while line and not line.startswith((b"block ", b"end ")):
+            key, _, value = text(line).rstrip("\n").partition(" ")
+            header.setdefault(key, []).append(value)
+            lineno, line = next(lines, (lineno + 1, b""))
+        while line.startswith(b"block "):
+            parts = line.split()
+            if len(parts) != 4 or not (parts[2] + parts[3]).isdigit() or text(parts[1]) in blocks:
+                fail(f"bad or repeated block header {text(line).rstrip()!r}")
+            name, rows, cols = text(parts[1]), int(parts[2]), int(parts[3])
+            lineno, line = next(lines, (lineno + 1, b""))
+            if not line.endswith(b"\n"):
+                fail(f"block {name!r}: file ends in it")
+            try:
+                raw = binascii.a2b_base64(line[:-1], strict_mode=True)
+            except binascii.Error as exc:
+                fail(f"block {name!r}: not base64 ({exc})")
+            if len(raw) != 8 * rows * cols:
+                fail(f"block {name!r}: {len(raw)} bytes, expected {8 * rows * cols}")
+            blocks[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(rows, cols)
+            lineno, line = next(lines, (lineno + 1, b""))
+        if not line.startswith(b"end sha256 "):
+            fail(f"expected a block or the end line, got {line[:40]!r}" if line
+                 else "file ends before the end line")
+        if line != f"end sha256 {digest.hexdigest()}\n".encode():
+            fail("the sha256 on the end line does not match the file's contents")
+        if next(lines, None) is not None:
+            fail("data after the end line")
     return header, blocks

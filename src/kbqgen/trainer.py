@@ -159,17 +159,22 @@ class RMSProp:
         self.moments = {p.name: np.zeros_like(p.value.data) for p in self.params}
 
     def step(self, lr, clip=0.0):
-        if clip > 0.0:
-            norm_sq = 0.0
+        """One update; returns the global gradient norm, before clipping.
+
+        A norm that is not finite touches no weight and no moment.
+        """
+        norm_sq = 0.0
+        for p in self.params:
+            if p.name in self.skip:
+                continue
+            norm_sq += float((p.grad * p.grad).sum())
+        norm = math.sqrt(norm_sq)
+        if not math.isfinite(norm):
+            return norm
+        if 0.0 < clip < norm:
+            factor = clip / norm
             for p in self.params:
-                if p.name in self.skip:
-                    continue
-                norm_sq += float((p.grad * p.grad).sum())
-            norm = math.sqrt(norm_sq)
-            if norm > clip:
-                factor = clip / norm
-                for p in self.params:
-                    p.value.grad *= factor
+                p.value.grad *= factor
         for p in self.params:
             if p.name not in self.skip:
                 g = p.grad
@@ -178,6 +183,7 @@ class RMSProp:
                 v += (1.0 - RHO) * g * g
                 p.value.data -= lr * g / (np.sqrt(v) + EPSILON)
             p.zero_grad()
+        return norm
 
 
 @dataclass
@@ -359,7 +365,9 @@ def train(config, dataset, kb_matrix=None, resume=None, log=None):
 
     Per epoch: seeded shuffle, gradient accumulation over each batch, one
     RMSProp step per batch at lr0 * decay^epoch, then greedy BLEU-4 on the
-    validation split. A NaN loss aborts with the last finite checkpoint.
+    validation split. Without a validation split (absent or empty) the best
+    checkpoint is the last one. A loss or gradient norm that is not finite
+    aborts with the last finite checkpoint.
     """
     config.validate()
     model = build_model(config, dataset, kb_matrix=kb_matrix)
@@ -371,6 +379,7 @@ def train(config, dataset, kb_matrix=None, resume=None, log=None):
         _restore(model, resume, optimizer)
         start_epoch = resume.epoch
     train_examples = dataset.examples("train")
+    validate = bool(dataset.splits.get("valid"))
     history = []
     last = _snapshot(model, optimizer, start_epoch, config)
     best = last
@@ -396,18 +405,18 @@ def train(config, dataset, kb_matrix=None, resume=None, log=None):
                     break
                 ad.backward(ad.scale(total, 1.0 / len(batch)))
                 epoch_loss += breakdown.total_loss
-            if diverged:
+            if diverged or not math.isfinite(optimizer.step(lr, clip=config.grad_clip)):
+                diverged = True
                 break
-            optimizer.step(lr, clip=config.grad_clip)
         if diverged:
             return TrainResult(best=best, last=last, history=history, aborted=True)
         mean_loss = epoch_loss / max(len(train_examples), 1)
-        bleu = valid_bleu(model, dataset, max_len=config.max_len) if "valid" in dataset.splits else 0.0
+        bleu = valid_bleu(model, dataset, max_len=config.max_len) if validate else 0.0
         history.append((epoch, mean_loss, bleu))
         if log is not None:
             log(epoch, mean_loss, bleu)
         last = _snapshot(model, optimizer, epoch + 1, config)
-        if bleu > best_bleu:
+        if not validate or bleu > best_bleu:
             best_bleu = bleu
             best = last
             stale = 0
@@ -442,13 +451,13 @@ COMPONENT_VARIANTS = (
 def ablate_lambda_transe(config, dataset, lambdas=LAMBDA_GRID, transe_options=(True, False),
                          split="test", log=None):
     """Grid over answer-loss weight x TransE init; BLEU-4 and coverage per cell."""
+    examples = dataset.examples(split)
     rows = []
     for use_transe in transe_options:
         for lam in lambdas:
             run_cfg = replace(config, lam=lam, transe=use_transe)
             model = model_from_checkpoint(run_cfg, dataset, train(run_cfg, dataset).best)
             tokens = [t for t, _ in decode_split(model, dataset, split, max_len=config.max_len)]
-            examples = dataset.examples(split)
             bleu = metrics.bleu4(tokens, [list(ex.raw_question_words) for ex in examples])
             coverage = metrics.answer_coverage(tokens, [set(ex.answer_type_words) for ex in examples])
             rows.append({"transe": use_transe, "lambda": lam, "bleu4": bleu, "answer_coverage": coverage})
@@ -467,6 +476,7 @@ def ablate_components(config, load_dataset_fn, seeds=(0, 1, 2), split="valid", l
     for name, flags in COMPONENT_VARIANTS:
         flags = {"diversified": True, **flags}
         dataset = load_dataset_fn(flags["diversified"])
+        dataset.examples(split)  # refuse a missing split before any training
         bleus = []
         for seed in seeds:
             run_cfg = replace(config, seed=seed, **flags)

@@ -28,6 +28,16 @@ def trained(tmp_path_factory, data_dir):
     return out
 
 
+@pytest.fixture(scope="module")
+def no_valid_dir(tmp_path_factory, data_dir):
+    """The CLI corpus without its facts.valid.tsv."""
+    root = tmp_path_factory.mktemp("no_valid")
+    for path in Path(data_dir).iterdir():
+        if path.name != "facts.valid.tsv":
+            (root / path.name).write_bytes(path.read_bytes())
+    return root
+
+
 def test_unknown_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as e:
         run("frobnicate")
@@ -195,3 +205,29 @@ def test_log_format(trained):
     for line in lines:
         epoch, loss, bleu = line.split("\t")
         int(epoch), float(loss), float(bleu)
+
+
+def test_train_without_validation_saves_the_last_epoch(tmp_path, no_valid_dir, capsys):
+    from kbqgen import trainer as tr
+
+    assert run("train", "--data-dir", no_valid_dir, "--out-dir", tmp_path / "out",
+               "--set", "epochs=3", "--set", "d=16", "--set", "heads=2",
+               "--set", "layers=1", "--set", "transe=off") == 0
+    assert tr.load_checkpoint(tmp_path / "out" / "model.ckpt").epoch == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("no validation ran")
+
+
+@pytest.mark.parametrize("command", ["generate", "ablate"])
+def test_missing_split_is_exit_2(tmp_path, no_valid_dir, trained, capsys, command):
+    if command == "generate":
+        argv = ("generate", "--checkpoint", trained / "model" / "model.ckpt", "--data-dir",
+                no_valid_dir, "--split", "valid", "--out", tmp_path / "gen.tsv")
+    else:
+        argv = ("ablate", "--grid", "components", "--data-dir", no_valid_dir,
+                "--out-dir", tmp_path / "abl", "--set", "epochs=1", "--set", "d=16",
+                "--set", "heads=2", "--set", "layers=1")
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'valid'" in err and "facts.valid.tsv" in err and "Traceback" not in err

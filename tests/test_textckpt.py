@@ -1,6 +1,8 @@
-"""The checkpoint text format: bit-exact round trips and refusal of damaged files."""
+"""The checkpoint file format: bit-exact round trips and refusal of damaged files."""
 
+import binascii
 import contextlib
+import hashlib
 import io
 
 import numpy as np
@@ -29,75 +31,71 @@ def tiny_model_checkpoint():
 
 @pytest.fixture(scope="module")
 def saved(tmp_path_factory):
-    """File text of a tiny model checkpoint and a KB checkpoint, by kind."""
+    """File bytes of a tiny model checkpoint and a KB checkpoint, by kind."""
     root = tmp_path_factory.mktemp("ckpt")
     tr.save_checkpoint(tiny_model_checkpoint(), root / "model.ckpt")
     table = np.random.default_rng(4).normal(size=(6, 8))
     kbembed.save_checkpoint(kbembed.KBEmbeddingMatrix(table=table, pretrained=True), root / "kb.ckpt")
-    return {
-        "model": (root / "model.ckpt").read_text(encoding="utf-8"),
-        "kb": (root / "kb.ckpt").read_text(encoding="utf-8"),
-    }
+    return {"model": (root / "model.ckpt").read_bytes(), "kb": (root / "kb.ckpt").read_bytes()}
 
 
 LOADERS = {"model": tr.load_checkpoint, "kb": kbembed.load_checkpoint}
 
 
-def row_line_indices(lines):
-    rows = []
-    for i, line in enumerate(lines):
-        if line.startswith("block "):
-            rows.extend(range(i + 1, i + 1 + int(line.split()[2])))
-    return rows
+def resign(data):
+    """data with its end line's digest recomputed, so that only the edit itself is wrong."""
+    cut = data.index(b"end sha256 ")
+    rest = data[data.index(b"\n", cut) + 1:]
+    return data[:cut] + b"end sha256 " + hashlib.sha256(data[:cut]).hexdigest().encode() + b"\n" + rest
+
+
+def block_line(data, name):
+    """The base64 line of a block, and the edit that swaps in another one."""
+    header = f"block {name} ".encode()
+    start = data.index(b"\n", data.index(header)) + 1
+    end = data.index(b"\n", start)
+    return data[start:end], lambda new: data[:start] + new + data[end:]
 
 
 @st.composite
-def damaged(draw, text):
-    """A proper prefix, a row with one number added or removed, or a wrong magic."""
-    how = draw(st.sampled_from(["prefix", "row", "magic"]))
-    if how == "prefix":
-        return text[: draw(st.integers(0, len(text) - 1))]
-    lines = text.splitlines(keepends=True)
-    if how == "row":
-        i = draw(st.sampled_from(row_line_indices(lines)))
-        numbers = lines[i].split()
-        numbers = numbers + ["0.5"] if draw(st.booleans()) else numbers[:-1]
-        lines[i] = " ".join(numbers) + "\n"
-    else:
-        magic = draw(st.sampled_from(["kbqgen-model", "kbqgen-kb", "kbqgen", "KBQGEN-MODEL", ""]))
-        version = lines[0].split()[1]
-        if lines[0].startswith(magic + " "):
-            magic += "x"
-        lines[0] = f"{magic} {version}\n"
-    return "".join(lines)
+def damaged(draw, data):
+    """data with one byte replaced by any other value, or cut to a proper prefix."""
+    i = draw(st.integers(0, len(data) - 1))
+    if draw(st.booleans()):
+        return data[:i]
+    value = draw(st.integers(0, 255).filter(lambda v: v != data[i]))
+    return data[:i] + bytes([value]) + data[i + 1:]
 
 
 def test_round_trip_is_bit_exact(tmp_path):
     special = np.array([[0.0, -0.0, np.nan, np.inf], [-np.inf, 5e-324, 1 / 3, -1.7976931348623157e308]])
     path = tmp_path / "x.ckpt"
-    textckpt.write(path, "demo", [("a", 1), ("note", "two words"), ("a", "")], [("m", special)])
+    textckpt.write(path, "demo", [("a", 1), ("note", "two words"), ("a", "")],
+                   [("m", special), ("empty", np.zeros((0, 3)))])
     header, blocks = textckpt.read(path, "demo")
     assert header == {"a": ["1", ""], "note": ["two words"]}
     assert textckpt.field(path, header, "note") == "two words"
     with pytest.raises(ConfigError, match="bad or missing 'a' header line"):
         textckpt.field(path, header, "a")
-    assert list(blocks) == ["m"] and blocks["m"].tobytes() == special.tobytes()
+    assert list(blocks) == ["m", "empty"] and blocks["m"].tobytes() == special.tobytes()
+    assert blocks["empty"].shape == (0, 3) and blocks["m"].flags.writeable
+    body, end = path.read_bytes().rsplit(b"end sha256 ", 1)
+    assert end == hashlib.sha256(body).hexdigest().encode() + b"\n"
 
 
 @pytest.mark.parametrize("row", ["\n", " \t\n"])
 def test_blank_row_is_refused_in_a_one_column_block(tmp_path, row):
     path = tmp_path / "x.ckpt"
     textckpt.write(path, "demo", [], [("col", np.arange(3.0)[:, None])])
-    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    lines[3] = row
-    path.write_text("".join(lines), encoding="utf-8")
-    with pytest.raises(ConfigError, match=":4: block 'col': an empty row"):
+    _, swap = block_line(path.read_bytes(), "col")
+    path.write_bytes(resign(swap(row.rstrip("\n").encode())))
+    with pytest.raises(ConfigError, match=r":3: block 'col': (0 bytes, expected 24|not base64)"):
         textckpt.read(path, "demo")
 
 
 def test_saved_checkpoints_load_back(saved, tmp_path):
     path = tmp_path / "model.ckpt"
-    path.write_text(saved["model"], encoding="utf-8")
+    path.write_bytes(saved["model"])
     loaded, ckpt = tr.load_checkpoint(path), tiny_model_checkpoint()
     assert (loaded.epoch, loaded.config_hash, loaded.config_text) == (
         ckpt.epoch, ckpt.config_hash, ckpt.config_text)
@@ -107,59 +105,124 @@ def test_saved_checkpoints_load_back(saved, tmp_path):
 
 
 def test_model_file_cut_before_a_block_header_is_refused(saved, tmp_path):
-    text = saved["model"]
-    cut = text.index("\nblock ", text.index("\nblock ") + 1) + 1
+    data = saved["model"]
+    cut = data.index(b"\nblock ", data.index(b"\nblock ") + 1) + 1
     path = tmp_path / "model.ckpt"
-    path.write_text(text[:cut], encoding="utf-8")
+    path.write_bytes(data[:cut])
     with pytest.raises(ConfigError, match="file ends before the end line"):
         tr.load_checkpoint(path)
 
 
 @pytest.mark.parametrize(
-    "old", ["kbqgen-model 1\nepoch 0\n", "kbqgen-kb 1\nk 1\nd 1\npretrained 0\n0.5\n"]
+    "old",
+    [
+        "kbqgen-model 1\nepoch 0\n",
+        "kbqgen-kb 1\nk 1\nd 1\npretrained 0\n0.5\n",
+        "kbqgen-model 2\nepoch 0\nconfighash 0\nblock tensor/w 1 2\n0.5 0.25\nend\n",
+    ],
 )
 def test_old_layout_is_refused(tmp_path, old):
     path = tmp_path / "old.ckpt"
     path.write_text(old, encoding="utf-8")
-    magic = old.split()[0]
+    magic, version = old.split()[:2]
     loader = tr.load_checkpoint if magic == "kbqgen-model" else kbembed.load_checkpoint
-    with pytest.raises(ConfigError, match=f":1: expected '{magic} 2', got '{magic} 1'"):
+    with pytest.raises(ConfigError, match=f":1: expected '{magic} 3', got '{magic} {version}'"):
         loader(path)
+
+
+def drop_last_value(data):
+    line, swap = block_line(data, "table")
+    return resign(swap(binascii.b2a_base64(binascii.a2b_base64(line)[:-8], newline=False)))
+
+
+def add_a_value(data):
+    line, swap = block_line(data, "table")
+    return resign(swap(binascii.b2a_base64(binascii.a2b_base64(line) + bytes(8), newline=False)))
+
+
+def flip_a_base64_digit(data):
+    line, swap = block_line(data, "table")
+    return swap(line[:5] + (b"B" if line[5:6] != b"B" else b"C") + line[6:])
 
 
 @pytest.mark.parametrize(
     "edit, problem",
     [
-        (lambda t: t.replace("end\n", "end\nextra\n"), "data after the end line"),
-        (lambda t: t.replace("block table 6 8", "block table 6 x"), "bad or repeated block header"),
-        (lambda t: t.replace("pretrained 1", "pretrained yes"),
+        (lambda t: t + b"extra\n", "data after the end line"),
+        (lambda t: resign(t.replace(b"block table 6 8", b"block table 6 x")),
+         "bad or repeated block header"),
+        (lambda t: resign(t.replace(b"pretrained 1", b"pretrained yes")),
          "bad or missing 'pretrained' header line"),
-        (lambda t: t.replace("end\n", "block table 0 8\nend\n"), "bad or repeated block header"),
-        (lambda t: t.replace("6 8\n", "6 8\n1 2 3 4 5 6 7 8a\n"), "a row that is not all numbers"),
-        (lambda t: t.replace("block table", "block tables"), "expected only 'table'"),
+        (lambda t: resign(t.replace(b"end sha256", b"block table 0 8\n\nend sha256")),
+         "bad or repeated block header"),
+        (lambda t: resign(block_line(t, "table")[1](b"AAAA*" + block_line(t, "table")[0][4:])),
+         "not base64"),
+        (lambda t: resign(t.replace(b"block table", b"block tables")), "expected only 'table'"),
+        (drop_last_value, "376 bytes, expected 384"),
+        (add_a_value, "392 bytes, expected 384"),
+        (flip_a_base64_digit, "sha256 on the end line does not match"),
+        (lambda t: t.replace(b"end sha256 ", b"end sha512 "), "expected a block or the end line"),
     ],
 )
 def test_corrupt_kb_checkpoint_names_the_problem(saved, tmp_path, edit, problem):
     path = tmp_path / "kb.ckpt"
-    path.write_text(edit(saved["kb"]), encoding="utf-8")
+    path.write_bytes(edit(saved["kb"]))
     with pytest.raises(ConfigError, match=problem):
         kbembed.load_checkpoint(path)
 
 
+def test_noncanonical_base64_padding_is_refused(tmp_path):
+    # strict base64 decodes both lines to the same 8 zero bytes; only the
+    # digest over the file's text tells them apart
+    assert binascii.a2b_base64(b"AAAAAAAAAAB=", strict_mode=True) == bytes(8)
+    path = tmp_path / "x.ckpt"
+    textckpt.write(path, "demo", [], [("z", np.zeros((1, 1)))])
+    data = path.read_bytes()
+    assert b"\nAAAAAAAAAAA=\n" in data
+    path.write_bytes(data.replace(b"\nAAAAAAAAAAA=\n", b"\nAAAAAAAAAAB=\n"))
+    with pytest.raises(ConfigError, match=":4: the sha256 on the end line does not match"):
+        textckpt.read(path, "demo")
+
+
 def test_non_utf8_checkpoint_is_refused(tmp_path):
     path = tmp_path / "model.ckpt"
-    path.write_bytes(b"kbqgen-model 2\n\xff\n")
-    with pytest.raises(ConfigError, match="not UTF-8 text"):
+    path.write_bytes(b"kbqgen-model 3\n\xff\n")
+    with pytest.raises(ConfigError, match=":2: not UTF-8 text"):
         tr.load_checkpoint(path)
+
+
+def test_every_one_byte_change_and_every_cut_of_a_kb_file_is_refused(saved, tmp_path):
+    data, path = saved["kb"], tmp_path / "kb.ckpt"
+    for i in range(len(data)):
+        for damaged_data in (data[:i], data[:i] + bytes([data[i] ^ 1]) + data[i + 1:]):
+            path.write_bytes(damaged_data)
+            with pytest.raises(ConfigError):
+                kbembed.load_checkpoint(path)
+
+
+class Exploding:
+    shape = (2, 2)
+
+    def __array__(self, dtype=None, copy=None):
+        raise RuntimeError("disk full")
+
+
+def test_failed_write_leaves_the_earlier_file_and_no_temp_file(tmp_path):
+    path = tmp_path / "x.ckpt"
+    textckpt.write(path, "demo", [("a", 1)], [("m", np.ones((2, 2)))])
+    before = path.read_bytes()
+    with pytest.raises(RuntimeError, match="disk full"):
+        textckpt.write(path, "demo", [("a", 2)], [("m", np.zeros((2, 2))), ("n", Exploding())])
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["x.ckpt"]
 
 
 @pytest.mark.parametrize("kind", ["model", "kb"])
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
 def test_damaged_checkpoint_is_refused(saved, tmp_path_factory, kind, data):
-    text = data.draw(damaged(saved[kind]))
     path = tmp_path_factory.getbasetemp() / f"damaged.{kind}.ckpt"
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(data.draw(damaged(saved[kind])))
     with pytest.raises(ConfigError):
         LOADERS[kind](path)
 
@@ -169,7 +232,7 @@ def test_damaged_checkpoint_is_refused(saved, tmp_path_factory, kind, data):
 def test_damaged_checkpoint_is_exit_2_through_the_cli(saved, tmp_path_factory, data):
     root = tmp_path_factory.getbasetemp()
     path = root / "damaged.cli.ckpt"
-    path.write_text(data.draw(damaged(saved["model"])), encoding="utf-8")
+    path.write_bytes(data.draw(damaged(saved["model"])))
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = cli.main(["generate", "--checkpoint", str(path), "--data-dir", str(root),

@@ -109,6 +109,47 @@ def test_rmsprop_clip_bounds_global_norm():
     assert np.all(p.value.data < 0)
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("clip", [5.0, 0.0])
+def test_rmsprop_non_finite_gradient_touches_nothing(bad, clip):
+    p = ad.Parameter("p", np.array([[1.0, -2.0]]))
+    q = ad.Parameter("q", np.array([[0.5]]))
+    opt = tr.RMSProp([p, q])
+    opt.moments["p"][...] = 0.25
+    p.value.grad[...] = [[bad, 1.0]]
+    q.value.grad[...] = 3.0
+    assert not math.isfinite(opt.step(lr=0.1, clip=clip))
+    assert p.value.data.tolist() == [[1.0, -2.0]] and q.value.data.tolist() == [[0.5]]
+    assert opt.moments["p"].tolist() == [[0.25, 0.25]] and opt.moments["q"].tolist() == [[0.0]]
+
+
+def test_inf_gradient_aborts_with_last_finite_checkpoint(dataset, monkeypatch):
+    cfg = desk_config(epochs=3)
+    original = tr.RMSProp.step
+
+    def inject(self, lr, clip=0.0):
+        if lr < cfg.lr0:  # the first step of the second epoch
+            self.params[0].value.grad[0, 0] = np.inf
+        return original(self, lr, clip)
+
+    monkeypatch.setattr(tr.RMSProp, "step", inject)
+    result = tr.train(cfg, dataset)
+    monkeypatch.undo()
+    one_epoch = tr.train(desk_config(epochs=1), dataset)
+    assert result.aborted and len(result.history) == 1 and result.last.epoch == 1
+    for saved, expected in ((result.last.tensors, one_epoch.last.tensors),
+                            (result.last.moments, one_epoch.last.moments)):
+        assert all(np.array_equal(saved[n], expected[n]) for n in expected)
+
+
+def test_without_validation_the_best_checkpoint_is_the_last(dataset):
+    view = cp.Dataset(dataset.entities, dataset.predicates, dataset.kbvocab, dataset.vocab,
+                      splits={"train": dataset.examples("train")})
+    result = tr.train(desk_config(epochs=3), view)
+    assert result.best.epoch == 3 and result.best is result.last
+    assert [bleu for _, _, bleu in result.history] == [0.0, 0.0, 0.0]
+
+
 def test_lr_schedule_exact(dataset):
     cfg = desk_config(epochs=3)
     seen = []

@@ -89,13 +89,13 @@ def cmd_train(args):
     if result.aborted:
         print("training diverged; kept last finite checkpoint", file=sys.stderr)
         return 1
-    if not dataset.splits.get("valid"):
+    if result.validated:
+        best_epoch, _, best_bleu = max(result.history, key=lambda h: h[2]) if result.history else (0, 0, 0)
+        print(f"best valid BLEU-4 {best_bleu:.4f} at epoch {best_epoch}; checkpoint in {out_dir}")
+    else:
         print("no validation ran (no facts.valid.tsv examples); saved the last epoch's checkpoint",
               file=sys.stderr)
         print(f"checkpoint of epoch {result.best.epoch} in {out_dir}")
-        return 0
-    best_epoch, _, best_bleu = max(result.history, key=lambda h: h[2]) if result.history else (0, 0, 0)
-    print(f"best valid BLEU-4 {best_bleu:.4f} at epoch {best_epoch}; checkpoint in {out_dir}")
     return 0
 
 

@@ -38,7 +38,7 @@ def write(path, magic, header, blocks):
     path = os.fspath(path)
     tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
     digest = hashlib.sha256()
-    fh = open(tmp, "xb")
+    fh = open(tmp, "wb")
     try:
         with fh:
             def put(line):

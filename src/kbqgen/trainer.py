@@ -200,6 +200,7 @@ class TrainResult:
     best: Checkpoint
     last: Checkpoint
     history: list  # (epoch, train loss, valid bleu4)
+    validated: bool  # False without a valid split: best is then the last checkpoint
     aborted: bool = False
 
 
@@ -409,7 +410,7 @@ def train(config, dataset, kb_matrix=None, resume=None, log=None):
                 diverged = True
                 break
         if diverged:
-            return TrainResult(best=best, last=last, history=history, aborted=True)
+            return TrainResult(best=best, last=last, history=history, validated=validate, aborted=True)
         mean_loss = epoch_loss / max(len(train_examples), 1)
         bleu = valid_bleu(model, dataset, max_len=config.max_len) if validate else 0.0
         history.append((epoch, mean_loss, bleu))
@@ -424,7 +425,7 @@ def train(config, dataset, kb_matrix=None, resume=None, log=None):
             stale += 1
             if config.patience and stale >= config.patience:
                 break
-    return TrainResult(best=best, last=last, history=history)
+    return TrainResult(best=best, last=last, history=history, validated=validate)
 
 
 def model_from_checkpoint(config, dataset, ckpt):

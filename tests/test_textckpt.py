@@ -4,6 +4,7 @@ import binascii
 import contextlib
 import hashlib
 import io
+import os
 
 import numpy as np
 import pytest
@@ -214,6 +215,16 @@ def test_failed_write_leaves_the_earlier_file_and_no_temp_file(tmp_path):
     with pytest.raises(RuntimeError, match="disk full"):
         textckpt.write(path, "demo", [("a", 2)], [("m", np.zeros((2, 2))), ("n", Exploding())])
     assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["x.ckpt"]
+
+
+def test_write_replaces_a_stale_temp_file_of_the_same_pid(tmp_path):
+    path = tmp_path / "x.ckpt"
+    stale = tmp_path / f".x.ckpt.{os.getpid()}.tmp"
+    stale.write_bytes(b"left by a killed save")
+    textckpt.write(path, "demo", [("a", 1)], [("m", np.ones((2, 2)))])
+    header, blocks = textckpt.read(path, "demo")
+    assert header == {"a": ["1"]} and np.array_equal(blocks["m"], np.ones((2, 2)))
     assert [p.name for p in tmp_path.iterdir()] == ["x.ckpt"]
 
 

@@ -146,7 +146,7 @@ def test_without_validation_the_best_checkpoint_is_the_last(dataset):
     view = cp.Dataset(dataset.entities, dataset.predicates, dataset.kbvocab, dataset.vocab,
                       splits={"train": dataset.examples("train")})
     result = tr.train(desk_config(epochs=3), view)
-    assert result.best.epoch == 3 and result.best is result.last
+    assert result.best.epoch == 3 and result.best is result.last and not result.validated
     assert [bleu for _, _, bleu in result.history] == [0.0, 0.0, 0.0]
 
 

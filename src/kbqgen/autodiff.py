@@ -8,6 +8,11 @@ closure on its output, so a forward pass rebuilds the computation record
 from scratch (define-by-run) and ``backward`` replays it once in reverse
 topological order.
 
+Transformer sublayers are single ops: ``attention_block`` and ``ffn_block``
+each record LayerNorm(x + Dropout(Sublayer(x))) with one hand-written
+backward, over the plain-numpy kernels ``attention_forward`` and
+``ffn_forward`` that incremental decoding calls directly.
+
 Graphs are single-use: an optimizer may mutate Parameter values between
 passes, never during one. Recording is skipped entirely inside ``no_grad``.
 """
@@ -15,6 +20,8 @@ passes, never during one. Recording is skipped entirely inside ``no_grad``.
 from __future__ import annotations
 
 import contextlib
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -355,27 +362,6 @@ def softmax_rows(a):
     return _make(out_data, (a,), bwd)
 
 
-def layer_norm(a, gain, bias, eps=1e-5):
-    """Per-row standardization followed by an affine map with [1,n] gain/bias."""
-    x = a.data
-    mu = x.mean(axis=1, keepdims=True)
-    var = x.var(axis=1, keepdims=True)
-    s = np.sqrt(var + eps)
-    xhat = (x - mu) / s
-    out_data = gain.data * xhat + bias.data
-
-    def bwd(g):
-        n = x.shape[1]
-        _accum(bias, g.sum(axis=0, keepdims=True))
-        _accum(gain, (g * xhat).sum(axis=0, keepdims=True))
-        dxhat = g * gain.data
-        m1 = dxhat.mean(axis=1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
-        _accum(a, (dxhat - m1 - xhat * m2) / s)
-
-    return _make(out_data, (a, gain, bias), bwd)
-
-
 def group_max_rows(a, groups):
     """Per-row max over column groups; [m,n] -> [m,G].
 
@@ -423,24 +409,79 @@ def neg_log_prob(p, cols, floor=1e-12):
     return _make(out_data, (p,), bwd)
 
 
-def multihead_attention(q_in, kv_in, wq, wk, wv, wo, n_heads, scale_factor, causal=False):
-    """Fused multi-head attention: one recorded op instead of a dozen.
+# ---------------------------------------------------------------------------
+# transformer sublayers: LayerNorm(x + Dropout(Sublayer(x)))
+# ---------------------------------------------------------------------------
+#
+# Each sublayer kind has one plain-numpy forward kernel returning
+# (out, saved) and one recorded op that wraps it with a hand-written
+# backward. Training records the ops; incremental decoding calls the
+# kernels directly on one new row, so both run the same arithmetic.
 
-    q_in [n,d] and kv_in [m,d] may be the same tensor (self-attention);
-    wq/wk/wv/wo are [d,d] with per-head column blocks of width d/heads.
-    With ``causal`` each query row only ever touches key/value rows up to
-    its own position, so earlier outputs are bit-identical under appends.
+
+@dataclass
+class AttentionWeights:
+    """Multi-head attention sublayer; [d,d] projections with per-head column
+    blocks of width d/heads, then the [1,d] layer-norm gain and bias."""
+
+    wq: Parameter
+    wk: Parameter
+    wv: Parameter
+    wo: Parameter
+    ln_gain: Parameter
+    ln_bias: Parameter
+
+
+@dataclass
+class FFNWeights:
+    """Position-wise ReLU feed-forward sublayer plus its layer norm."""
+
+    w1: Parameter  # [d, 2d]
+    b1: Parameter  # [1, 2d]
+    w2: Parameter  # [2d, d]
+    b2: Parameter  # [1, d]
+    ln_gain: Parameter
+    ln_bias: Parameter
+
+
+def _add_norm(x, y, w, mask, eps=1e-5):
+    """LayerNorm(x + y * mask) with w's [1,n] gain and bias; (out, (xhat, s))."""
+    if mask is not None:
+        y = y * mask
+    z = x + y
+    mu = z.mean(axis=1, keepdims=True)
+    s = np.sqrt(z.var(axis=1, keepdims=True) + eps)
+    xhat = (z - mu) / s
+    return w.ln_gain.value.data * xhat + w.ln_bias.value.data, (xhat, s)
+
+
+def _add_norm_backward(g, w, mask, xhat, s):
+    """Accumulate the layer-norm gain/bias grads; returns (d residual, d sublayer)."""
+    _accum(w.ln_bias.value, g.sum(axis=0, keepdims=True))
+    _accum(w.ln_gain.value, (g * xhat).sum(axis=0, keepdims=True))
+    dxhat = g * w.ln_gain.value.data
+    m1 = dxhat.mean(axis=1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
+    dz = (dxhat - m1 - xhat * m2) / s
+    return dz, dz if mask is None else dz * mask
+
+
+def _drop_mask(drop, x):
+    return None if drop is None else drop(x.data.shape).astype(x.data.dtype, copy=False)
+
+
+def attention_forward(x, K, V, w, n_heads, causal=False, mask=None):
+    """Attention sublayer on arrays: LayerNorm(x + Dropout(heads(x, K, V) W_o)).
+
+    x [n,d] holds the query rows; K and V [m,d] are keys and values already
+    projected by w.wk and w.wv. With ``causal`` (n == m) query row t only
+    ever touches key/value rows up to t, so earlier outputs are bit-identical
+    under appends. ``mask`` multiplies the output projection (dropout).
     """
-    n, d = q_in.data.shape
-    m = kv_in.data.shape[0]
-    if d % n_heads:
-        raise ShapeError(f"model width {d} not divisible by {n_heads} heads")
-    if causal and n != m:
-        raise ShapeError(f"causal attention needs square shape, got {n}x{m}")
+    n, d = x.shape
     dh = d // n_heads
-    Q = q_in.data @ wq.data
-    K = kv_in.data @ wk.data
-    V = kv_in.data @ wv.data
+    scale_factor = 1.0 / math.sqrt(d / n_heads)
+    Q = x @ w.wq.value.data
     heads = np.empty((n, d), dtype=Q.dtype)
     attn = []
     for j in range(n_heads):
@@ -461,11 +502,31 @@ def multihead_attention(q_in, kv_in, wq, wk, wv, wo, n_heads, scale_factor, caus
             a_mat = e / e.sum(axis=1, keepdims=True)
             attn.append(a_mat)
             heads[:, sl] = a_mat @ Vj
-    out_data = heads @ wo.data
+    out, norm = _add_norm(x, heads @ w.wo.value.data, w, mask)
+    return out, (scale_factor, Q, heads, attn, norm)
+
+
+def attention_block(x, kv, w, n_heads, causal=False, drop=None):
+    """Recorded attention sublayer: Q/K/V projections, per-head attention,
+    output projection, dropout, residual and layer norm as one op.
+
+    kv [m,d] supplies keys and values; it is x itself for self-attention.
+    ``drop(shape)`` hands out the dropout mask; None means no dropout.
+    """
+    wq, wk, wv, wo = w.wq.value, w.wk.value, w.wv.value, w.wo.value
+    K = kv.data @ wk.data
+    V = kv.data @ wv.data
+    mask = _drop_mask(drop, x)
+    out, (scale_factor, Q, heads, attn, norm) = attention_forward(
+        x.data, K, V, w, n_heads, causal, mask
+    )
+    n, d = Q.shape
+    dh = d // n_heads
 
     def bwd(g):
-        _accum(wo, heads.T @ g)
-        dheads = g @ wo.data.T
+        dx, dy = _add_norm_backward(g, w, mask, *norm)
+        _accum(wo, heads.T @ dy)
+        dheads = dy @ wo.data.T
         dQ = np.zeros_like(Q)
         dK = np.zeros_like(K)
         dV = np.zeros_like(V)
@@ -488,21 +549,40 @@ def multihead_attention(q_in, kv_in, wq, wk, wv, wo, n_heads, scale_factor, caus
                 dS = A * (dA - (dA * A).sum(axis=1, keepdims=True))
                 dQ[:, sl] += scale_factor * (dS @ Kj)
                 dK[:, sl] += scale_factor * (dS.T @ Qj)
-        _accum(wq, q_in.data.T @ dQ)
-        _accum(wk, kv_in.data.T @ dK)
-        _accum(wv, kv_in.data.T @ dV)
-        _accum(q_in, dQ @ wq.data.T)
-        _accum(kv_in, dK @ wk.data.T + dV @ wv.data.T)
+        _accum(wq, x.data.T @ dQ)
+        _accum(wk, kv.data.T @ dK)
+        _accum(wv, kv.data.T @ dV)
+        _accum(x, dx + dQ @ wq.data.T)
+        _accum(kv, dK @ wk.data.T + dV @ wv.data.T)
 
-    return _make(out_data, (q_in, kv_in, wq, wk, wv, wo), bwd)
+    return _make(out, (x, kv, wq, wk, wv, wo, w.ln_gain.value, w.ln_bias.value), bwd)
 
 
-def dropout(a, rate, rng):
-    """Inverted dropout with a mask drawn from ``rng``; identity at rate 0."""
-    if rate <= 0.0:
-        return a
-    mask = (rng.random(a.data.shape) >= rate) / (1.0 - rate)
-    return mul(a, Tensor(mask.astype(a.data.dtype)))
+def ffn_forward(x, w, mask=None):
+    """Feed-forward sublayer on arrays: LayerNorm(x + Dropout(ReLU(x W1 + b1) W2 + b2))."""
+    pre = x @ w.w1.value.data + w.b1.value.data
+    hidden = np.maximum(pre, 0.0)
+    out, norm = _add_norm(x, hidden @ w.w2.value.data + w.b2.value.data, w, mask)
+    return out, (pre, hidden, norm)
+
+
+def ffn_block(x, w, drop=None):
+    """Recorded feed-forward sublayer: both matmuls with biases, ReLU,
+    dropout, residual and layer norm as one op."""
+    mask = _drop_mask(drop, x)
+    out, (pre, hidden, norm) = ffn_forward(x.data, w, mask)
+
+    def bwd(g):
+        dx, dy = _add_norm_backward(g, w, mask, *norm)
+        _accum(w.b2.value, dy.sum(axis=0, keepdims=True))
+        _accum(w.w2.value, hidden.T @ dy)
+        dpre = (dy @ w.w2.value.data.T) * (pre > 0)
+        _accum(w.b1.value, dpre.sum(axis=0, keepdims=True))
+        _accum(w.w1.value, x.data.T @ dpre)
+        _accum(x, dx + dpre @ w.w1.value.data.T)
+
+    parents = (x, w.w1.value, w.b1.value, w.w2.value, w.b2.value, w.ln_gain.value, w.ln_bias.value)
+    return _make(out, parents, bwd)
 
 
 def grad_check(f, params, eps=1e-5):

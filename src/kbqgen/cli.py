@@ -57,10 +57,7 @@ def cmd_pretrain_kb(args):
     entities, predicates, kbvocab = cp.load_kb(
         data_dir / "entities.tsv", data_dir / "predicates.tsv"
     )
-    triples = []
-    for path in fact_files:
-        for s, p, o, _question in cp._load_fact_rows(path):
-            triples.append((kbvocab.id(s), kbvocab.id(p), kbvocab.id(o)))
+    triples = [fact for path in fact_files for fact, _question in cp.load_facts(path, kbvocab)]
     emb = kbembed.pretrain_transe(
         triples, kbvocab, d=cfg.d, margin=cfg.transe_margin, lr=cfg.transe_lr,
         epochs=cfg.transe_epochs, neg_per_pos=cfg.transe_neg, seed=cfg.seed,

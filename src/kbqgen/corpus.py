@@ -11,6 +11,7 @@ Everything loaded here is immutable afterwards and safe to share read-only.
 
 from __future__ import annotations
 
+import io
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -166,60 +167,57 @@ class KBVocab:
         return len(self._tokens)
 
 
-def _split_line(line, n_cols, path, lineno):
-    cols = line.rstrip("\n").split("\t")
-    if len(cols) != n_cols:
-        raise IngestionError(
-            f"{path}:{lineno}: expected {n_cols} tab-separated columns, got {len(cols)}"
-        )
-    return cols
+def _tsv_rows(path, n_cols):
+    """Yield ("path:line", columns) for each non-blank line of a UTF-8 TSV file."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise IngestionError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from None
+    for lineno, line in enumerate(io.StringIO(text, newline=None), 1):
+        if not line.strip():
+            continue
+        cols = line.rstrip("\n").split("\t")
+        if len(cols) != n_cols:
+            raise IngestionError(
+                f"{path}:{lineno}: expected {n_cols} tab-separated columns, got {len(cols)}"
+            )
+        yield f"{path}:{lineno}", cols
 
 
 def load_kb(entities_file, predicates_file):
     """Parse entity and predicate tables into records plus a dense KB vocab."""
     entities = {}
-    with open(entities_file, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            eid, name, freq, notable = _split_line(line, 4, entities_file, lineno)
-            if eid in entities:
-                raise IngestionError(f"{entities_file}:{lineno}: duplicate entity id {eid!r}")
-            rec = EntityRecord(
-                id=eid,
-                name=tuple(tokenize(name)),
-                frequent_type=tuple(tokenize(freq)),
-                notable_type=tuple(tokenize(notable)),
-            )
-            if not rec.name:
-                raise IngestionError(f"{entities_file}:{lineno}: empty entity name")
-            if not rec.frequent_type and not rec.notable_type:
-                raise IngestionError(f"{entities_file}:{lineno}: entity {eid!r} has no type words")
-            entities[eid] = rec
+    for where, (eid, name, freq, notable) in _tsv_rows(entities_file, 4):
+        if eid in entities:
+            raise IngestionError(f"{where}: duplicate entity id {eid!r}")
+        rec = EntityRecord(
+            id=eid,
+            name=tuple(tokenize(name)),
+            frequent_type=tuple(tokenize(freq)),
+            notable_type=tuple(tokenize(notable)),
+        )
+        if not rec.name:
+            raise IngestionError(f"{where}: empty entity name")
+        if not rec.frequent_type and not rec.notable_type:
+            raise IngestionError(f"{where}: entity {eid!r} has no type words")
+        entities[eid] = rec
 
     predicates = {}
-    with open(predicates_file, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            pid, domain, rng, topic, patterns = _split_line(line, 5, predicates_file, lineno)
-            if pid in predicates:
-                raise IngestionError(f"{predicates_file}:{lineno}: duplicate predicate id {pid!r}")
-            ds = tuple(
-                tuple(tokenize(p)) for p in patterns.split(";") if p.strip()
-            )
-            rec = PredicateRecord(
-                id=pid,
-                domain_words=tuple(tokenize(domain)),
-                range_words=tuple(tokenize(rng)),
-                topic_words=tuple(tokenize(topic)),
-                ds_patterns=ds,
-            )
-            if not (rec.domain_words or rec.range_words or rec.topic_words):
-                raise IngestionError(
-                    f"{predicates_file}:{lineno}: predicate {pid!r} has no domain/range/topic words"
-                )
-            predicates[pid] = rec
+    for where, (pid, domain, rng, topic, patterns) in _tsv_rows(predicates_file, 5):
+        if pid in predicates:
+            raise IngestionError(f"{where}: duplicate predicate id {pid!r}")
+        rec = PredicateRecord(
+            id=pid,
+            domain_words=tuple(tokenize(domain)),
+            range_words=tuple(tokenize(rng)),
+            topic_words=tuple(tokenize(topic)),
+            ds_patterns=tuple(tuple(tokenize(p)) for p in patterns.split(";") if p.strip()),
+        )
+        if not (rec.domain_words or rec.range_words or rec.topic_words):
+            raise IngestionError(f"{where}: predicate {pid!r} has no domain/range/topic words")
+        predicates[pid] = rec
 
     kbvocab = KBVocab(sorted(entities), sorted(predicates))
     return entities, predicates, kbvocab
@@ -325,16 +323,25 @@ class Dataset:
             raise IngestionError(f"no {split!r} split: facts.{split}.tsv is missing") from None
 
 
-def _load_fact_rows(path):
+def load_facts(path, kbvocab):
+    """(Fact, question text) per row of a facts file.
+
+    Subject and object must be entity ids and the predicate a predicate id.
+    """
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            s, p, o, question = _split_line(line, 4, path, lineno)
-            if not question.strip():
-                raise IngestionError(f"{path}:{lineno}: empty question")
-            rows.append((s, p, o, question))
+    for where, (s, p, o, question) in _tsv_rows(path, 4):
+        try:
+            fact = Fact(kbvocab.id(s), kbvocab.id(p), kbvocab.id(o))
+        except IngestionError as exc:
+            raise IngestionError(f"{where}: {exc}") from None
+        for role, idx in (("subject", fact.subject), ("predicate", fact.predicate),
+                          ("object", fact.object)):
+            kind = "a predicate" if role == "predicate" else "an entity"
+            if (idx < kbvocab.n_entities) != (role != "predicate"):
+                raise IngestionError(f"{where}: {role} {kbvocab.token(idx)!r} is not {kind} id")
+        if not question.strip():
+            raise IngestionError(f"{where}: empty question")
+        rows.append((fact, question))
     return rows
 
 
@@ -348,27 +355,24 @@ def load_dataset(data_dir, diversified=True, min_freq=2):
     for split in ("train", "valid", "test"):
         path = data_dir / f"facts.{split}.tsv"
         if path.exists():
-            rows[split] = _load_fact_rows(path)
+            rows[split] = load_facts(path, kbvocab)
     if "train" not in rows:
         raise IngestionError(f"{data_dir}: missing facts.train.tsv")
 
     # vocabulary counts run over subject-substituted training questions
     substituted = []
-    for s, p, o, question in rows["train"]:
-        name = entities[s].name if s in entities else ()
+    for fact, question in rows["train"]:
+        name = entities[kbvocab.token(fact.subject)].name
         toks, _ = substitute_subject(tokenize(question), name)
         substituted.append(toks)
     vocab = Vocab.from_questions(substituted, min_freq=min_freq)
 
     dataset = Dataset(entities, predicates, kbvocab, vocab, diversified=diversified)
     for split, split_rows in rows.items():
-        examples = []
-        for s, p, o, question in split_rows:
-            fact = Fact(kbvocab.id(s), kbvocab.id(p), kbvocab.id(o))
-            examples.append(
-                prepare_example(question, fact, entities, predicates, kbvocab, vocab, diversified)
-            )
-        dataset.splits[split] = examples
+        dataset.splits[split] = [
+            prepare_example(question, fact, entities, predicates, kbvocab, vocab, diversified)
+            for fact, question in split_rows
+        ]
     return dataset
 
 

@@ -10,7 +10,7 @@ token.
 
 from __future__ import annotations
 
-import math
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,24 +21,9 @@ from .corpus import BOS, EOS, SUBJ, UNK
 
 @dataclass
 class DecoderLayerParams:
-    self_wq: ad.Parameter
-    self_wk: ad.Parameter
-    self_wv: ad.Parameter
-    self_wo: ad.Parameter
-    self_ln_gain: ad.Parameter
-    self_ln_bias: ad.Parameter
-    fact_wq: ad.Parameter
-    fact_wk: ad.Parameter
-    fact_wv: ad.Parameter
-    fact_wo: ad.Parameter
-    fact_ln_gain: ad.Parameter
-    fact_ln_bias: ad.Parameter
-    ffn_w1: ad.Parameter
-    ffn_b1: ad.Parameter
-    ffn_w2: ad.Parameter
-    ffn_b2: ad.Parameter
-    ffn_ln_gain: ad.Parameter
-    ffn_ln_bias: ad.Parameter
+    self_attn: ad.AttentionWeights  # causal, over the decoder prefix
+    fact_attn: ad.AttentionWeights  # over the 3 x d fact representation
+    ffn: ad.FFNWeights
 
 
 @dataclass
@@ -139,33 +124,14 @@ def decode_states(prev_ids, h_f, params, drop=None):
         raise ad.ContractError(
             f"sequence length {t_len} exceeds position table {params.pos_table.shape[0]}"
         )
-    d = params.d
-    scale_factor = 1.0 / math.sqrt(d / params.n_heads)
     x = ad.add(
         ad.gather(params.word_emb.value, list(prev_ids)),
         ad.tensor(params.pos_table[:t_len]),
     )
     for layer in params.layers:
-        attn = ad.multihead_attention(
-            x, x, layer.self_wq.value, layer.self_wk.value, layer.self_wv.value,
-            layer.self_wo.value, n_heads=params.n_heads, scale_factor=scale_factor,
-            causal=True,
-        )
-        if drop is not None:
-            attn = drop(attn)
-        x = ad.layer_norm(ad.add(x, attn), layer.self_ln_gain.value, layer.self_ln_bias.value)
-        fact = ad.multihead_attention(
-            x, h_f, layer.fact_wq.value, layer.fact_wk.value, layer.fact_wv.value,
-            layer.fact_wo.value, n_heads=params.n_heads, scale_factor=scale_factor,
-        )
-        if drop is not None:
-            fact = drop(fact)
-        x = ad.layer_norm(ad.add(x, fact), layer.fact_ln_gain.value, layer.fact_ln_bias.value)
-        hidden = ad.relu(ad.add(ad.matmul(x, layer.ffn_w1.value), layer.ffn_b1.value))
-        ffn = ad.add(ad.matmul(hidden, layer.ffn_w2.value), layer.ffn_b2.value)
-        if drop is not None:
-            ffn = drop(ffn)
-        x = ad.layer_norm(ad.add(x, ffn), layer.ffn_ln_gain.value, layer.ffn_ln_bias.value)
+        x = ad.attention_block(x, x, layer.self_attn, params.n_heads, causal=True, drop=drop)
+        x = ad.attention_block(x, h_f, layer.fact_attn, params.n_heads, drop=drop)
+        x = ad.ffn_block(x, layer.ffn, drop=drop)
     return x
 
 
@@ -274,12 +240,6 @@ def _feedback_id(ext_id, vocab_size):
     return ext_id if ext_id < vocab_size else UNK
 
 
-def _ln_row(x, gain, bias, eps=1e-5):
-    mu = x.mean()
-    s = np.sqrt(x.var() + eps)
-    return gain[0] * ((x - mu) / s) + bias[0]
-
-
 def _softmax_vec(x):
     e = np.exp(x - x.max())
     return e / e.sum()
@@ -288,9 +248,13 @@ def _softmax_vec(x):
 class Generator:
     """Incremental decoding state: cached keys/values, one step at a time.
 
-    Pure numpy mirror of decode_states plus the step head, used for greedy
-    and beam search where re-running the whole prefix every step would be
-    cubic in length. Tests pin its outputs to the recorded-graph path.
+    Each step runs one new row through the same sublayer kernels that
+    decode_states records (ad.attention_forward, ad.ffn_forward): causal
+    self-attention reads the per-layer K/V cache, fact attention the fact
+    K/V projected once per example. Only the copy head is mirrored in
+    numpy here. Used for greedy and beam search, where re-running the whole
+    prefix every step would be cubic in length. Tests pin its outputs to
+    the recorded-graph path.
     """
 
     def __init__(self, model, example):
@@ -299,69 +263,39 @@ class Generator:
         with ad.no_grad():
             fact_enc = model.encode_fact(example)
         params = model.decoder
-        self.h_f = fact_enc.h_f.data
+        h_f = fact_enc.h_f.data
         self.ctx_keys = fact_enc.context_rows.data @ params.w_ctx.value.data
         self.fact_kv = [
-            (self.h_f @ layer.fact_wk.value.data, self.h_f @ layer.fact_wv.value.data)
+            (h_f @ layer.fact_attn.wk.value.data, h_f @ layer.fact_attn.wv.value.data)
             for layer in params.layers
         ]
-        self.self_cache = [([], []) for _ in params.layers]
+        empty = np.empty((0, params.d), dtype=h_f.dtype)
+        # arrays are replaced, never written in place, so clones may share them
+        self.self_cache = [(empty, empty) for _ in params.layers]
         self.t = 0
         self.mode_mask = mode_mask(model.use_kb_copy, model.use_ctx_copy)[0]
 
     def clone(self):
-        other = object.__new__(Generator)
-        other.model = self.model
-        other.copy_source = self.copy_source
-        other.h_f = self.h_f
-        other.ctx_keys = self.ctx_keys
-        other.fact_kv = self.fact_kv
-        other.self_cache = [(ks.copy(), vs.copy()) for ks, vs in self.self_cache]
-        other.t = self.t
-        other.mode_mask = self.mode_mask
+        other = copy.copy(self)
+        other.self_cache = list(self.self_cache)
         return other
 
     def step(self, token_id):
         """Feed one input token; returns (dist, modes, p_vocab, p_ctx) rows."""
         params = self.model.decoder
-        d = params.d
-        heads = params.n_heads
-        dh = d // heads
-        scale_factor = 1.0 / math.sqrt(d / heads)
         emb = params.word_emb.value.data[token_id]
-        x = emb + params.pos_table[self.t]
+        x = (emb + params.pos_table[self.t])[None, :]
         for li, layer in enumerate(params.layers):
+            attn = layer.self_attn
             ks, vs = self.self_cache[li]
-            ks.append(x @ layer.self_wk.value.data)
-            vs.append(x @ layer.self_wv.value.data)
-            q = x @ layer.self_wq.value.data
-            k_all = np.stack(ks)
-            v_all = np.stack(vs)
-            out = np.empty(d)
-            for j in range(heads):
-                sl = slice(j * dh, (j + 1) * dh)
-                alpha = _softmax_vec((k_all[:, sl] @ q[sl]) * scale_factor)
-                out[sl] = alpha @ v_all[:, sl]
-            x = _ln_row(
-                x + out @ layer.self_wo.value.data,
-                layer.self_ln_gain.value.data, layer.self_ln_bias.value.data,
-            )
-            kf, vf = self.fact_kv[li]
-            q = x @ layer.fact_wq.value.data
-            out = np.empty(d)
-            for j in range(heads):
-                sl = slice(j * dh, (j + 1) * dh)
-                alpha = _softmax_vec((kf[:, sl] @ q[sl]) * scale_factor)
-                out[sl] = alpha @ vf[:, sl]
-            x = _ln_row(
-                x + out @ layer.fact_wo.value.data,
-                layer.fact_ln_gain.value.data, layer.fact_ln_bias.value.data,
-            )
-            hidden = np.maximum(x @ layer.ffn_w1.value.data + layer.ffn_b1.value.data[0], 0.0)
-            x = _ln_row(
-                x + hidden @ layer.ffn_w2.value.data + layer.ffn_b2.value.data[0],
-                layer.ffn_ln_gain.value.data, layer.ffn_ln_bias.value.data,
-            )
+            ks = np.concatenate([ks, x @ attn.wk.value.data])
+            vs = np.concatenate([vs, x @ attn.wv.value.data])
+            self.self_cache[li] = (ks, vs)
+            # the new row is the last position, so it sees every cached row
+            x, _ = ad.attention_forward(x, ks, vs, attn, params.n_heads)
+            x, _ = ad.attention_forward(x, *self.fact_kv[li], layer.fact_attn, params.n_heads)
+            x, _ = ad.ffn_forward(x, layer.ffn)
+        x = x[0]
         self.t += 1
 
         cat = np.concatenate([x, emb])

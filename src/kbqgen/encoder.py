@@ -20,18 +20,8 @@ from .corpus import SEG_OBJECT, SEG_PREDICATE, SEG_SUBJECT
 
 @dataclass
 class EncoderLayerParams:
-    wq: ad.Parameter  # [d, d], per-head column blocks
-    wk: ad.Parameter
-    wv: ad.Parameter
-    wo: ad.Parameter
-    ln1_gain: ad.Parameter  # [1, d]
-    ln1_bias: ad.Parameter
-    ffn_w1: ad.Parameter  # [d, 2d]
-    ffn_b1: ad.Parameter  # [1, 2d]
-    ffn_w2: ad.Parameter  # [2d, d]
-    ffn_b2: ad.Parameter  # [1, d]
-    ln2_gain: ad.Parameter
-    ln2_bias: ad.Parameter
+    attn: ad.AttentionWeights
+    ffn: ad.FFNWeights
 
 
 @dataclass
@@ -69,25 +59,13 @@ def encode_context(token_ids, segment_label, params, drop=None):
     """
     if len(token_ids) == 0:
         raise ad.ContractError("encode_context needs at least one token")
-    d = params.d
-    scale_factor = 1.0 / math.sqrt(d / params.n_heads)
     x = ad.add(
         ad.gather(params.word_emb.value, list(token_ids)),
         ad.gather(params.seg_emb.value, [segment_label]),
     )
     for layer in params.layers:
-        attn = ad.multihead_attention(
-            x, x, layer.wq.value, layer.wk.value, layer.wv.value, layer.wo.value,
-            n_heads=params.n_heads, scale_factor=scale_factor,
-        )
-        if drop is not None:
-            attn = drop(attn)
-        normed = ad.layer_norm(ad.add(x, attn), layer.ln1_gain.value, layer.ln1_bias.value)
-        hidden = ad.relu(ad.add(ad.matmul(normed, layer.ffn_w1.value), layer.ffn_b1.value))
-        ffn = ad.add(ad.matmul(hidden, layer.ffn_w2.value), layer.ffn_b2.value)
-        if drop is not None:
-            ffn = drop(ffn)
-        x = ad.layer_norm(ad.add(normed, ffn), layer.ln2_gain.value, layer.ln2_bias.value)
+        x = ad.attention_block(x, x, layer.attn, params.n_heads, drop=drop)
+        x = ad.ffn_block(x, layer.ffn, drop=drop)
     return x
 
 
@@ -114,23 +92,17 @@ def augment_fact(fact, contexts, kb_table, enc_params, fusion_params, use_fusion
     With ``use_fusion`` off the fact rows are the bare KB embeddings (the
     ablated encoder); context matrices are still produced for the copier.
     """
-    parts = (
-        (fact.subject, contexts.subject_ids, SEG_SUBJECT),
-        (fact.predicate, contexts.predicate_ids, SEG_PREDICATE),
-        (fact.object, contexts.object_ids, SEG_OBJECT),
-    )
-    rows = []
-    ctx_matrices = []
-    for kb_index, token_ids, segment in parts:
-        ctx = encode_context(token_ids, segment, enc_params, drop=drop)
-        ctx_matrices.append(ctx)
-        e = ad.gather(kb_table, [kb_index])
-        if use_fusion:
-            c = attentive_vector(e, ctx)
-            rows.append(gated_fuse(c, e, fusion_params))
-        else:
-            rows.append(e)
-    return AugmentedFact(
-        h_f=ad.concat(rows, axis=0),
-        context_rows=ad.concat(ctx_matrices, axis=0),
-    )
+    ctx_matrices = [
+        encode_context(contexts.subject_ids, SEG_SUBJECT, enc_params, drop=drop),
+        encode_context(contexts.predicate_ids, SEG_PREDICATE, enc_params, drop=drop),
+        encode_context(contexts.object_ids, SEG_OBJECT, enc_params, drop=drop),
+    ]
+    h_f = ad.gather(kb_table, [fact.subject, fact.predicate, fact.object])
+    if use_fusion:
+        # each atom attends over its own context; the gate is row-wise, so
+        # the three rows share one pass through it
+        summaries = [
+            attentive_vector(ad.gather(h_f, [i]), ctx) for i, ctx in enumerate(ctx_matrices)
+        ]
+        h_f = gated_fuse(ad.concat(summaries, axis=0), h_f, fusion_params)
+    return AugmentedFact(h_f=h_f, context_rows=ad.concat(ctx_matrices, axis=0))

@@ -1,4 +1,4 @@
-"""KB embedding table: random init or TransE pretraining, plus lookup.
+"""KB embedding table: random init or TransE pretraining.
 
 The table covers entities and predicates in one dense index space (entities
 first). TransE treats a predicate row as a translation vector between its
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from . import textckpt
 from .textckpt import ConfigError
 
@@ -100,14 +99,6 @@ def pretrain_transe(triples, kbvocab, d, margin=1.0, lr=0.01, epochs=50, neg_per
         _normalize_entities(table, n_entities)
         losses.append(probe_loss())
     return KBEmbeddingMatrix(table=table, pretrained=epochs > 0, epoch_losses=tuple(losses))
-
-
-def lookup(fact, table_tensor):
-    """Differentiable rows (e_s, e_p, e_o), each [1, d]; grads scatter-add."""
-    e_s = ad.gather(table_tensor, [fact.subject])
-    e_p = ad.gather(table_tensor, [fact.predicate])
-    e_o = ad.gather(table_tensor, [fact.object])
-    return e_s, e_p, e_o
 
 
 def save_checkpoint(emb, path):

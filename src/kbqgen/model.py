@@ -64,47 +64,39 @@ class Model:
                     table[i] = np.asarray(vec, dtype=dtype)
         seg = uniform("seg_emb", (3, d))
 
-        enc_layers = []
-        for i in range(layers):
-            p = f"enc{i}"
-            wq, wk, wv, wo = (uniform(f"{p}.{nm}", (d, d)) for nm in ("wq", "wk", "wv", "wo"))
-            ln1 = ln_pair(f"{p}.ln1")
-            w1 = uniform(f"{p}.ffn_w1", (d, 2 * d))
-            b1 = self._add(f"{p}.ffn_b1", np.zeros((1, 2 * d), dtype=dtype))
-            w2 = uniform(f"{p}.ffn_w2", (2 * d, d))
-            b2 = self._add(f"{p}.ffn_b2", np.zeros((1, d), dtype=dtype))
-            ln2 = ln_pair(f"{p}.ln2")
-            enc_layers.append(
-                enc.EncoderLayerParams(wq, wk, wv, wo, *ln1, w1, b1, w2, b2, *ln2)
+        def attention(prefix, ln):
+            wq, wk, wv, wo = (uniform(f"{prefix}{nm}", (d, d)) for nm in ("wq", "wk", "wv", "wo"))
+            return ad.AttentionWeights(wq, wk, wv, wo, *ln_pair(ln))
+
+        def ffn(prefix, ln):
+            return ad.FFNWeights(
+                uniform(f"{prefix}.ffn_w1", (d, 2 * d)),
+                self._add(f"{prefix}.ffn_b1", np.zeros((1, 2 * d), dtype=dtype)),
+                uniform(f"{prefix}.ffn_w2", (2 * d, d)),
+                self._add(f"{prefix}.ffn_b2", np.zeros((1, d), dtype=dtype)),
+                *ln_pair(ln),
             )
+
+        enc_layers = [
+            enc.EncoderLayerParams(
+                attention(f"enc{i}.", f"enc{i}.ln1"), ffn(f"enc{i}", f"enc{i}.ln2")
+            )
+            for i in range(layers)
+        ]
         self.encoder = enc.EncoderParams(word_emb=word, seg_emb=seg, layers=enc_layers, n_heads=heads)
         self.fusion = enc.FusionParams(
             w_f=uniform("fusion.w_f", (d, 2 * d)),
             w_g=uniform("fusion.w_g", (d, 2 * d)),
         )
 
-        dec_layers = []
-        for i in range(layers):
-            p = f"dec{i}"
-            parts = {}
-            for role in ("self", "fact"):
-                for nm in ("wq", "wk", "wv", "wo"):
-                    parts[f"{role}_{nm}"] = uniform(f"{p}.{role}_{nm}", (d, d))
-                parts[f"{role}_ln"] = ln_pair(f"{p}.{role}_ln")
-            w1 = uniform(f"{p}.ffn_w1", (d, 2 * d))
-            b1 = self._add(f"{p}.ffn_b1", np.zeros((1, 2 * d), dtype=dtype))
-            w2 = uniform(f"{p}.ffn_w2", (2 * d, d))
-            b2 = self._add(f"{p}.ffn_b2", np.zeros((1, d), dtype=dtype))
-            ffn_ln = ln_pair(f"{p}.ffn_ln")
-            dec_layers.append(
-                dec.DecoderLayerParams(
-                    parts["self_wq"], parts["self_wk"], parts["self_wv"], parts["self_wo"],
-                    *parts["self_ln"],
-                    parts["fact_wq"], parts["fact_wk"], parts["fact_wv"], parts["fact_wo"],
-                    *parts["fact_ln"],
-                    w1, b1, w2, b2, *ffn_ln,
-                )
+        dec_layers = [
+            dec.DecoderLayerParams(
+                attention(f"dec{i}.self_", f"dec{i}.self_ln"),
+                attention(f"dec{i}.fact_", f"dec{i}.fact_ln"),
+                ffn(f"dec{i}", f"dec{i}.ffn_ln"),
             )
+            for i in range(layers)
+        ]
         self.decoder = dec.DecoderParams(
             word_emb=word,
             pos_table=dec.sinusoid_table(max_len, d).astype(dtype),

@@ -399,7 +399,10 @@ def train(config, dataset, kb_matrix=None, resume=None, log=None):
                 drop = None
                 if config.dropout > 0:
                     rng = np.random.default_rng([config.seed, epoch, idx])
-                    drop = lambda t, r=rng: ad.dropout(t, config.dropout, r)
+                    # inverted dropout masks, drawn in the order the sublayers ask
+                    drop = lambda shape, r=rng: (
+                        (r.random(shape) >= config.dropout) / (1.0 - config.dropout)
+                    )
                 total, breakdown = example_loss(model, train_examples[idx], config, drop=drop)
                 if not math.isfinite(breakdown.total_loss):
                     diverged = True

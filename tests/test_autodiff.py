@@ -115,32 +115,39 @@ def test_softmax_rows_sum_to_one(m, n, seed):
     assert np.all(np.abs(out.data.sum(axis=1) - 1.0) < 1e-9)
 
 
+def norm_only(n, gain=None, bias=None):
+    """FFN weights that zero the sublayer, so ffn_forward is the bare layer norm."""
+    return ad.FFNWeights(
+        ad.Parameter("w1", np.zeros((n, 2 * n))),
+        ad.Parameter("b1", np.zeros((1, 2 * n))),
+        ad.Parameter("w2", np.zeros((2 * n, n))),
+        ad.Parameter("b2", np.zeros((1, n))),
+        ad.Parameter("g", np.ones((1, n)) if gain is None else gain),
+        ad.Parameter("b", np.zeros((1, n)) if bias is None else bias),
+    )
+
+
 def test_layer_norm_constant_row_is_zero():
-    gain = ad.tensor(np.ones((1, 3)))
-    bias = ad.tensor(np.zeros((1, 3)))
-    out = ad.layer_norm(ad.tensor([[5.0, 5.0, 5.0]]), gain, bias)
-    assert np.allclose(out.data, 0.0)
+    out, _ = ad.ffn_forward(np.array([[5.0, 5.0, 5.0]]), norm_only(3))
+    assert np.allclose(out, 0.0)
 
 
 def test_layer_norm_two_values():
     # (x - mu)/sigma for [1, 3]: mu=2, sigma=1 -> [-1, 1] up to the 1e-5 eps
-    gain = ad.tensor(np.ones((1, 2)))
-    bias = ad.tensor(np.zeros((1, 2)))
-    out = ad.layer_norm(ad.tensor([[1.0, 3.0]]), gain, bias)
-    assert np.allclose(out.data, [[-1.0, 1.0]], atol=1e-4)
+    out, _ = ad.ffn_forward(np.array([[1.0, 3.0]]), norm_only(2))
+    assert np.allclose(out, [[-1.0, 1.0]], atol=1e-4)
 
 
 def test_layer_norm_gradients():
     rng = np.random.default_rng(2)
     x = ad.Parameter("x", rng.normal(size=(3, 6)))
-    gain = ad.Parameter("g", rng.normal(size=(1, 6)))
-    bias = ad.Parameter("b", rng.normal(size=(1, 6)))
-    w = ad.tensor(rng.normal(size=(3, 6)))
+    w = norm_only(6, gain=rng.normal(size=(1, 6)), bias=rng.normal(size=(1, 6)))
+    probe = ad.tensor(rng.normal(size=(3, 6)))
 
     def f():
-        return ad.sum_all(ad.mul(ad.layer_norm(x.value, gain.value, bias.value), w))
+        return ad.sum_all(ad.mul(ad.ffn_block(x.value, w), probe))
 
-    assert check_op(f, [x, gain, bias]) < 1e-4
+    assert check_op(f, [x, w.ln_gain, w.ln_bias]) < 1e-4
 
 
 @settings(max_examples=50, deadline=None)
@@ -151,9 +158,7 @@ def test_layer_norm_standardizes_rows(n, seed):
     x = rng.normal(scale=3.0, size=(4, n))
     if np.any(x.var(axis=1) < 2.0):
         return
-    gain = ad.tensor(np.ones((1, n)))
-    bias = ad.tensor(np.zeros((1, n)))
-    out = ad.layer_norm(ad.tensor(x), gain, bias).data
+    out, _ = ad.ffn_forward(x, norm_only(n))
     assert np.all(np.abs(out.mean(axis=1)) < 1e-7)
     assert np.all(np.abs(out.var(axis=1) - 1.0) < 1e-5)
 
@@ -293,25 +298,47 @@ def test_primitive_gradients(name):
     assert check_op(f, [p, q]) < 1e-4
 
 
+def attention_weights(rng, d):
+    mats = [ad.Parameter(nm, rng.normal(size=(d, d)) * 0.3) for nm in ("wq", "wk", "wv", "wo")]
+    gain = ad.Parameter("g", 1.0 + 0.3 * rng.normal(size=(1, d)))
+    bias = ad.Parameter("b", 0.3 * rng.normal(size=(1, d)))
+    return ad.AttentionWeights(*mats, gain, bias)
+
+
+def ffn_weights(rng, d):
+    return ad.FFNWeights(
+        ad.Parameter("w1", rng.normal(size=(d, 2 * d)) * 0.5),
+        ad.Parameter("b1", rng.normal(size=(1, 2 * d)) * 0.5),
+        ad.Parameter("w2", rng.normal(size=(2 * d, d)) * 0.5),
+        ad.Parameter("b2", rng.normal(size=(1, d)) * 0.5),
+        ad.Parameter("g", 1.0 + 0.3 * rng.normal(size=(1, d))),
+        ad.Parameter("b", 0.3 * rng.normal(size=(1, d))),
+    )
+
+
+def dropout_mask(rng, shape, rate=0.3):
+    return (rng.random(shape) >= rate) / (1.0 - rate)
+
+
+def sublayer_params(w):
+    return [getattr(w, name) for name in vars(w)]
+
+
 @pytest.mark.parametrize("causal", [False, True])
 def test_multihead_attention_gradients(causal):
+    # self-attention block, with and without a dropout mask
     rng = np.random.default_rng(11 + causal)
     d, n = 4, 3
     x = ad.Parameter("x", rng.normal(size=(n, d)))
-    wq = ad.Parameter("wq", rng.normal(size=(d, d)) * 0.3)
-    wk = ad.Parameter("wk", rng.normal(size=(d, d)) * 0.3)
-    wv = ad.Parameter("wv", rng.normal(size=(d, d)) * 0.3)
-    wo = ad.Parameter("wo", rng.normal(size=(d, d)) * 0.3)
-    params = [x, wq, wk, wv, wo]
+    w = attention_weights(rng, d)
+    for mask in (None, dropout_mask(rng, (n, d))):
+        drop = None if mask is None else (lambda shape, m=mask: m)
 
-    def f():
-        out = ad.multihead_attention(
-            x.value, x.value, wq.value, wk.value, wv.value, wo.value,
-            n_heads=2, scale_factor=1.0 / np.sqrt(d / 2), causal=causal,
-        )
-        return ad.sum_all(ad.tanh(out))
+        def f():
+            out = ad.attention_block(x.value, x.value, w, 2, causal=causal, drop=drop)
+            return ad.sum_all(ad.tanh(out))
 
-    assert check_op(f, params) < 1e-4
+        assert check_op(f, [x] + sublayer_params(w)) < 1e-4
 
 
 def test_multihead_attention_cross_gradients():
@@ -319,16 +346,84 @@ def test_multihead_attention_cross_gradients():
     d = 4
     x = ad.Parameter("x", rng.normal(size=(3, d)))
     kv = ad.Parameter("kv", rng.normal(size=(2, d)))
-    mats = [ad.Parameter(nm, rng.normal(size=(d, d)) * 0.3) for nm in "qkvo"]
+    w = attention_weights(rng, d)
+    for mask in (None, dropout_mask(rng, (3, d))):
+        drop = None if mask is None else (lambda shape, m=mask: m)
+
+        def f():
+            return ad.sum_all(ad.tanh(ad.attention_block(x.value, kv.value, w, 2, drop=drop)))
+
+        assert check_op(f, [x, kv] + sublayer_params(w)) < 1e-4
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_ffn_block_gradients(masked):
+    rng = np.random.default_rng(17 + masked)
+    d = 4
+    x = ad.Parameter("x", rng.normal(size=(3, d)))
+    w = ffn_weights(rng, d)
+    mask = dropout_mask(rng, (3, d)) if masked else None
+    drop = None if mask is None else (lambda shape: mask)
 
     def f():
-        out = ad.multihead_attention(
-            x.value, kv.value, *[m.value for m in mats],
-            n_heads=2, scale_factor=0.7,
-        )
-        return ad.sum_all(ad.tanh(out))
+        return ad.sum_all(ad.tanh(ad.ffn_block(x.value, w, drop=drop)))
 
-    assert check_op(f, [x, kv] + mats) < 1e-4
+    assert check_op(f, [x] + sublayer_params(w)) < 1e-4
+
+
+def numpy_add_norm(x, y, w, mask):
+    z = x + (y if mask is None else y * mask)
+    xhat = (z - z.mean(axis=1, keepdims=True)) / np.sqrt(z.var(axis=1, keepdims=True) + 1e-5)
+    return w.ln_gain.value.data * xhat + w.ln_bias.value.data
+
+
+def numpy_attention(x, kv, w, heads, causal, mask):
+    # all rows at once, causality as an additive -inf mask above the diagonal
+    d = x.shape[1]
+    dh = d // heads
+    q, k, v = x @ w.wq.value.data, kv @ w.wk.value.data, kv @ w.wv.value.data
+    out = np.zeros_like(q)
+    for j in range(heads):
+        sl = slice(j * dh, (j + 1) * dh)
+        s = q[:, sl] @ k[:, sl].T / np.sqrt(dh)
+        if causal:
+            s = s + np.triu(np.full(s.shape, -np.inf), k=1)
+        a = np.exp(s - s.max(axis=1, keepdims=True))
+        out[:, sl] = (a / a.sum(axis=1, keepdims=True)) @ v[:, sl]
+    return numpy_add_norm(x, out @ w.wo.value.data, w, mask)
+
+
+def numpy_ffn(x, w, mask):
+    hidden = np.maximum(x @ w.w1.value.data + w.b1.value.data, 0.0)
+    return numpy_add_norm(x, hidden @ w.w2.value.data + w.b2.value.data, w, mask)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("case", ["causal", "self", "cross", "ffn"])
+def test_sublayer_forward_matches_numpy_composition(case, masked):
+    rng = np.random.default_rng(19)
+    d, n, heads = 6, 5, 3
+    x = rng.normal(size=(n, d))
+    kv = rng.normal(size=(4, d)) if case == "cross" else x
+    mask = dropout_mask(rng, (n, d)) if masked else None
+    drop = None if mask is None else (lambda shape: mask)
+    if case == "ffn":
+        w = ffn_weights(rng, d)
+        expected = numpy_ffn(x, w, mask)
+        recorded = ad.ffn_block(ad.tensor(x), w, drop=drop).data
+        kernel, _ = ad.ffn_forward(x, w, mask)
+    else:
+        w = attention_weights(rng, d)
+        causal = case == "causal"
+        expected = numpy_attention(x, kv, w, heads, causal, mask)
+        kv_t = ad.tensor(kv)
+        recorded = ad.attention_block(
+            kv_t if kv is x else ad.tensor(x), kv_t, w, heads, causal=causal, drop=drop
+        ).data
+        K, V = kv @ w.wk.value.data, kv @ w.wv.value.data
+        kernel, _ = ad.attention_forward(x, K, V, w, heads, causal=causal, mask=mask)
+    np.testing.assert_allclose(recorded, expected, rtol=1e-12, atol=1e-12)
+    assert np.array_equal(kernel, recorded)
 
 
 def test_no_grad_blocks_recording():

@@ -231,3 +231,47 @@ def test_missing_split_is_exit_2(tmp_path, no_valid_dir, trained, capsys, comman
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "'valid'" in err and "facts.valid.tsv" in err and "Traceback" not in err
+
+
+def _edit_second_row(column, value):
+    def edit(data):
+        lines = data.split(b"\n")
+        cols = lines[1].split(b"\t")
+        cols[column] = value
+        lines[1] = b"\t".join(cols)
+        return b"\n".join(lines)
+
+    return edit
+
+
+@pytest.mark.parametrize("command", ["train", "pretrain-kb"])
+@pytest.mark.parametrize("name, edit, problem", [
+    pytest.param("facts.train.tsv", _edit_second_row(0, b"p0"),
+                 "subject 'p0' is not an entity id", id="predicate-as-subject"),
+    pytest.param("facts.test.tsv", _edit_second_row(1, b"e0"),
+                 "predicate 'e0' is not a predicate id", id="entity-as-predicate"),
+    pytest.param("facts.valid.tsv", _edit_second_row(2, b"p1"),
+                 "object 'p1' is not an entity id", id="predicate-as-object"),
+    pytest.param("facts.train.tsv", _edit_second_row(2, b"e99"),
+                 "unknown KB id 'e99'", id="unknown-object"),
+    pytest.param("facts.train.tsv", _edit_second_row(3, b"caf\xe9 ?"),
+                 "not UTF-8 text", id="latin1-facts"),
+    pytest.param("entities.tsv", _edit_second_row(1, b"\xff"),
+                 "not UTF-8 text", id="bad-byte-entities"),
+    pytest.param("predicates.tsv", _edit_second_row(2, b"\xc3"),
+                 "not UTF-8 text", id="cut-char-predicates"),
+])
+def test_bad_corpus_row_is_exit_2(tmp_path, data_dir, capsys, command, name, edit, problem):
+    root = tmp_path / "data"
+    root.mkdir()
+    for path in Path(data_dir).iterdir():
+        (root / path.name).write_bytes(path.read_bytes())
+    (root / name).write_bytes(edit((root / name).read_bytes()))
+    if command == "train":
+        argv = ("train", "--data-dir", root, "--out-dir", tmp_path / "out", "--set", "epochs=1")
+    else:
+        argv = ("pretrain-kb", "--facts", root, "--out", tmp_path / "kb.ckpt")
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {root / name}:2: {problem}")
+    assert err.count("\n") == 1 and "Traceback" not in err

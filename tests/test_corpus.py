@@ -1,6 +1,12 @@
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kbqgen import corpus as cp
+from kbqgen.textckpt import ConfigError
 
 
 def test_tokenize_detaches_punctuation():
@@ -171,3 +177,59 @@ def test_basic_contexts_fall_back_to_unk(tmp_path):
     assert pattern_free, "synthetic corpus should include pattern-free predicates"
     for ex in pattern_free:
         assert ex.contexts.predicate_words == ("<unk>",)
+
+
+_VALID_CORPUS = {
+    "entities.tsv": [["e0", "old star", "city", "city"], ["e1", "red lake", "river", "lake"]],
+    "predicates.tsv": [["p0", "located", "in", "place", "x in y"],
+                       ["p1", "born", "", "origin", ""]],
+    "facts.train.tsv": [["e0", "p0", "e1", "what is old star in ?"],
+                        ["e1", "p1", "e0", "red lake ?"]],
+    "facts.test.tsv": [["e1", "p0", "e0", "where is red lake ?"]],
+}
+_CELLS = st.sampled_from(["e0", "e1", "p0", "p1", "", " ", "city", "a;b"]) | st.text(max_size=6)
+
+
+@st.composite
+def corpus_files(draw):
+    """A small valid corpus with a few random edits per file: a cell
+    replaced by an id, word, empty or random text, a column dropped or
+    added, a file left out, and stray bytes at a random offset in one file."""
+    files = {}
+    stray = draw(st.sampled_from([None, None, None, *_VALID_CORPUS]))
+    for name, rows in _VALID_CORPUS.items():
+        if name == "facts.test.tsv" and draw(st.booleans()):
+            continue
+        rows = [list(row) for row in rows]
+        for _ in range(draw(st.integers(0, 2))):
+            row = draw(st.sampled_from(rows))
+            how = draw(st.sampled_from(["replace", "replace", "replace", "drop", "append"]))
+            if how == "replace" and row:
+                row[draw(st.integers(0, len(row) - 1))] = draw(_CELLS)
+            elif how == "drop" and row:
+                row.pop()
+            else:
+                row.append(draw(_CELLS))
+        data = "\n".join("\t".join(row) for row in rows).encode()
+        if name == stray:
+            at = draw(st.integers(0, len(data)))
+            data = data[:at] + draw(st.binary(min_size=1, max_size=2)) + data[at:]
+        files[name] = data
+    return files
+
+
+@settings(max_examples=300, deadline=None)
+@given(corpus_files())
+def test_fuzzed_tsv_files_load_or_fail_cleanly(files):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name, data in files.items():
+            (root / name).write_bytes(data)
+        try:
+            dataset = cp.load_dataset(root, min_freq=1)
+        except (cp.IngestionError, ConfigError):
+            return
+        n_entities = dataset.kbvocab.n_entities
+        for examples in dataset.splits.values():
+            for ex in examples:
+                assert ex.fact.subject < n_entities <= ex.fact.predicate > ex.fact.object

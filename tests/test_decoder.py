@@ -38,10 +38,10 @@ def make_example(vocab, question=("which", "city", "?")):
     )
 
 
-def make_model(seed=0, **kw):
+def make_model(seed=0, layers=1, **kw):
     vocab = make_vocab()
     kbvocab = KBVocab(["e0", "e1", "e2"], ["p0"])
-    return Model(vocab, kbvocab, d=8, heads=2, layers=1, seed=seed, **kw)
+    return Model(vocab, kbvocab, d=8, heads=2, layers=layers, seed=seed, **kw)
 
 
 def test_copy_source_groups_and_extension():
@@ -319,11 +319,13 @@ def test_teacher_forced_distributions_feed_objective_unchanged(monkeypatch):
     assert np.isfinite(breakdown.total_loss)
 
 
-def test_incremental_generator_matches_recorded_graph():
+@pytest.mark.parametrize("layers", [1, 3])
+def test_incremental_generator_matches_recorded_graph(layers):
     # feeding the gold prefix step by step reproduces the teacher-forced
-    # distributions computed in one recorded pass
+    # distributions computed in one recorded pass; with several layers a
+    # K/V cache read from the wrong layer would show
     for seed in (0, 3, 9):
-        m = make_model(seed=seed)
+        m = make_model(seed=seed, layers=layers)
         example = make_example(m.vocab)
         result = m.forward_example(example)
         gen = dec.Generator(m, example)

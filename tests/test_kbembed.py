@@ -3,7 +3,8 @@ import pytest
 
 from kbqgen import autodiff as ad
 from kbqgen import kbembed as kb
-from kbqgen.corpus import Fact, KBVocab
+from kbqgen.corpus import BOS, EOS, ContextSet, Example, Fact, KBVocab, Vocab
+from kbqgen.model import Model
 from kbqgen.textckpt import ConfigError
 
 
@@ -94,27 +95,44 @@ def test_filtered_mean_rank_beats_random_baseline():
     assert float(np.mean(ranks)) < vocab.n_entities / 2
 
 
+def bare_kb_model(table):
+    """A model whose fact rows are the gathered KB rows, without fusion."""
+    kbvocab = KBVocab([f"e{i}" for i in range(5)], ["p0"])
+    return Model(Vocab(["w"]), kbvocab, d=4, heads=2, layers=1, kb_table=table, use_fusion=False)
+
+
+def kb_example(fact):
+    ids = (Vocab(["w"]).id("w"),)
+    return Example(
+        fact=fact, contexts=ContextSet(("w",), ("w",), ("w",), ids, ids, ids),
+        question=(BOS, EOS), question_words=(), raw_question_words=(),
+        answer_type_words=(), subject_span=None,
+    )
+
+
 def test_lookup_rows_and_gradients():
     emb = kb.init_random(6, 4, seed=0)
-    param = ad.Parameter("kb", emb.table.copy())
-    fact = Fact(0, 0, 0)
-    e_s, e_p, e_o = kb.lookup(fact, param.value)
-    assert np.array_equal(e_s.data, e_p.data)
-    assert np.array_equal(e_s.data, emb.table[0:1])
-    loss = ad.sum_all(ad.concat([e_s, e_p, e_o], axis=0))
-    param.zero_grad()
-    ad.backward(loss)
-    assert np.allclose(param.grad[0], 3.0)
-    assert np.allclose(param.grad[1:], 0.0)
+    model = bare_kb_model(emb.table)
+    h_f = model.encode_fact(kb_example(Fact(0, 0, 0))).h_f
+    e_s, e_p, e_o = h_f.data
+    assert np.array_equal(e_s, e_p) and np.array_equal(e_s, e_o)
+    assert np.array_equal(e_s, emb.table[0])
+    model.zero_grads()
+    ad.backward(ad.sum_all(h_f))
+    # the gather scatter-adds one unit per occurrence into the table
+    assert np.allclose(model.kb_emb.grad[0], 3.0)
+    assert np.allclose(model.kb_emb.grad[1:], 0.0)
 
 
 def test_lookup_is_pure():
     emb = kb.init_random(6, 4, seed=0)
-    param = ad.Parameter("kb", emb.table.copy())
-    before = param.value.data.copy()
-    kb.lookup(Fact(1, 5, 2), param.value)
-    kb.lookup(Fact(1, 5, 2), param.value)
-    assert np.array_equal(param.value.data, before)
+    table = emb.table.copy()
+    model = bare_kb_model(emb.table)
+    before = model.kb_emb.value.data.copy()
+    model.encode_fact(kb_example(Fact(1, 5, 2)))
+    model.encode_fact(kb_example(Fact(1, 5, 2)))
+    assert np.array_equal(model.kb_emb.value.data, before)
+    assert np.array_equal(emb.table, table)
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):

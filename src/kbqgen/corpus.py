@@ -168,7 +168,7 @@ class KBVocab:
 
 
 def _tsv_rows(path, n_cols):
-    """Yield ("path:line", columns) for each non-blank line of a UTF-8 TSV file."""
+    """Yield (line number, columns) for each non-blank line of a UTF-8 TSV file."""
     data = Path(path).read_bytes()
     try:
         text = data.decode("utf-8")
@@ -183,13 +183,14 @@ def _tsv_rows(path, n_cols):
             raise IngestionError(
                 f"{path}:{lineno}: expected {n_cols} tab-separated columns, got {len(cols)}"
             )
-        yield f"{path}:{lineno}", cols
+        yield lineno, cols
 
 
 def load_kb(entities_file, predicates_file):
     """Parse entity and predicate tables into records plus a dense KB vocab."""
     entities = {}
-    for where, (eid, name, freq, notable) in _tsv_rows(entities_file, 4):
+    for lineno, (eid, name, freq, notable) in _tsv_rows(entities_file, 4):
+        where = f"{entities_file}:{lineno}"
         if eid in entities:
             raise IngestionError(f"{where}: duplicate entity id {eid!r}")
         rec = EntityRecord(
@@ -205,7 +206,8 @@ def load_kb(entities_file, predicates_file):
         entities[eid] = rec
 
     predicates = {}
-    for where, (pid, domain, rng, topic, patterns) in _tsv_rows(predicates_file, 5):
+    for lineno, (pid, domain, rng, topic, patterns) in _tsv_rows(predicates_file, 5):
+        where = f"{predicates_file}:{lineno}"
         if pid in predicates:
             raise IngestionError(f"{where}: duplicate predicate id {pid!r}")
         rec = PredicateRecord(
@@ -329,18 +331,20 @@ def load_facts(path, kbvocab):
     Subject and object must be entity ids and the predicate a predicate id.
     """
     rows = []
-    for where, (s, p, o, question) in _tsv_rows(path, 4):
+    n_entities = kbvocab.n_entities
+    for lineno, (s, p, o, question) in _tsv_rows(path, 4):
         try:
             fact = Fact(kbvocab.id(s), kbvocab.id(p), kbvocab.id(o))
         except IngestionError as exc:
-            raise IngestionError(f"{where}: {exc}") from None
-        for role, idx in (("subject", fact.subject), ("predicate", fact.predicate),
-                          ("object", fact.object)):
-            kind = "a predicate" if role == "predicate" else "an entity"
-            if (idx < kbvocab.n_entities) != (role != "predicate"):
-                raise IngestionError(f"{where}: {role} {kbvocab.token(idx)!r} is not {kind} id")
+            raise IngestionError(f"{path}:{lineno}: {exc}") from None
+        if fact.subject >= n_entities:
+            raise IngestionError(f"{path}:{lineno}: subject {s!r} is not an entity id")
+        if fact.predicate < n_entities:
+            raise IngestionError(f"{path}:{lineno}: predicate {p!r} is not a predicate id")
+        if fact.object >= n_entities:
+            raise IngestionError(f"{path}:{lineno}: object {o!r} is not an entity id")
         if not question.strip():
-            raise IngestionError(f"{where}: empty question")
+            raise IngestionError(f"{path}:{lineno}: empty question")
         rows.append((fact, question))
     return rows
 

@@ -229,7 +229,7 @@ def test_fuzzed_tsv_files_load_or_fail_cleanly(files):
             dataset = cp.load_dataset(root, min_freq=1)
         except (cp.IngestionError, ConfigError):
             return
-        n_entities = dataset.kbvocab.n_entities
+        n = dataset.kbvocab.n_entities
         for examples in dataset.splits.values():
             for ex in examples:
-                assert ex.fact.subject < n_entities <= ex.fact.predicate > ex.fact.object
+                assert ex.fact.subject < n and ex.fact.object < n <= ex.fact.predicate

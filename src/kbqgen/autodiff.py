@@ -11,7 +11,9 @@ topological order.
 Transformer sublayers are single ops: ``attention_block`` and ``ffn_block``
 each record LayerNorm(x + Dropout(Sublayer(x))) with one hand-written
 backward, over the plain-numpy kernels ``attention_forward`` and
-``ffn_forward`` that incremental decoding calls directly.
+``ffn_forward`` that incremental decoding calls directly. Ops defined
+outside this module (the decoder's copy head) use ``record`` and ``accum``
+the same way.
 
 Graphs are single-use: an optimizer may mutate Parameter values between
 passes, never during one. Recording is skipped entirely inside ``no_grad``.
@@ -108,7 +110,8 @@ def tensor(data):
     return Tensor(data)
 
 
-def _accum(t, g):
+def accum(t, g):
+    """Add g into t's gradient slot; a no-op for constants."""
     if not t.requires_grad:
         return
     if t.grad is None:
@@ -116,7 +119,12 @@ def _accum(t, g):
     t.grad += g
 
 
-def _make(data, parents, backward_fn):
+def record(data, parents, backward_fn):
+    """Wrap an op's output; ``backward_fn(g)`` accumulates into the parents.
+
+    Outside ``no_grad``, and when a parent requires grad, the output keeps
+    its parents and closure for ``backward``; otherwise it is a constant.
+    """
     if _grad_enabled and any(p.requires_grad for p in parents):
         out = Tensor(data, requires_grad=True)
         out._parents = tuple(parents)
@@ -198,57 +206,47 @@ def matmul(a, b):
         )
 
     def bwd(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        accum(a, g @ b.data.T)
+        accum(b, a.data.T @ g)
 
-    return _make(a.data @ b.data, (a, b), bwd)
+    return record(a.data @ b.data, (a, b), bwd)
 
 
 def transpose(a):
     def bwd(g):
-        _accum(a, g.T)
+        accum(a, g.T)
 
-    return _make(a.data.T.copy(), (a,), bwd)
+    return record(a.data.T.copy(), (a,), bwd)
 
 
 def add(a, b):
     _check_broadcast(a, b, "add")
 
     def bwd(g):
-        _accum(a, _reduce_to(g, a.data.shape))
-        _accum(b, _reduce_to(g, b.data.shape))
+        accum(a, _reduce_to(g, a.data.shape))
+        accum(b, _reduce_to(g, b.data.shape))
 
-    return _make(a.data + b.data, (a, b), bwd)
+    return record(a.data + b.data, (a, b), bwd)
 
 
 def sub(a, b):
     _check_broadcast(a, b, "sub")
 
     def bwd(g):
-        _accum(a, _reduce_to(g, a.data.shape))
-        _accum(b, _reduce_to(-g, b.data.shape))
+        accum(a, _reduce_to(g, a.data.shape))
+        accum(b, _reduce_to(-g, b.data.shape))
 
-    return _make(a.data - b.data, (a, b), bwd)
+    return record(a.data - b.data, (a, b), bwd)
 
 
 def mul(a, b):
     _check_broadcast(a, b, "mul")
 
     def bwd(g):
-        _accum(a, _reduce_to(g * b.data, a.data.shape))
-        _accum(b, _reduce_to(g * a.data, b.data.shape))
+        accum(a, _reduce_to(g * b.data, a.data.shape))
+        accum(b, _reduce_to(g * a.data, b.data.shape))
 
-    return _make(a.data * b.data, (a, b), bwd)
-
-
-def div(a, b):
-    _check_broadcast(a, b, "div")
-
-    def bwd(g):
-        _accum(a, _reduce_to(g / b.data, a.data.shape))
-        _accum(b, _reduce_to(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return _make(a.data / b.data, (a, b), bwd)
+    return record(a.data * b.data, (a, b), bwd)
 
 
 def scale(a, c):
@@ -256,27 +254,18 @@ def scale(a, c):
     c = float(c)
 
     def bwd(g):
-        _accum(a, g * c)
+        accum(a, g * c)
 
-    return _make(a.data * c, (a,), bwd)
-
-
-def relu(a):
-    out_data = np.maximum(a.data, 0.0)
-
-    def bwd(g):
-        _accum(a, g * (a.data > 0))
-
-    return _make(out_data, (a,), bwd)
+    return record(a.data * c, (a,), bwd)
 
 
 def tanh(a):
     out_data = np.tanh(a.data)
 
     def bwd(g):
-        _accum(a, g * (1.0 - out_data * out_data))
+        accum(a, g * (1.0 - out_data * out_data))
 
-    return _make(out_data, (a,), bwd)
+    return record(out_data, (a,), bwd)
 
 
 def sigmoid(a):
@@ -288,9 +277,9 @@ def sigmoid(a):
     out_data[~pos] = ex / (1.0 + ex)
 
     def bwd(g):
-        _accum(a, g * out_data * (1.0 - out_data))
+        accum(a, g * out_data * (1.0 - out_data))
 
-    return _make(out_data, (a,), bwd)
+    return record(out_data, (a,), bwd)
 
 
 def concat(parts, axis):
@@ -304,9 +293,9 @@ def concat(parts, axis):
     def bwd(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
             piece = g[lo:hi] if axis == 0 else g[:, lo:hi]
-            _accum(p, piece)
+            accum(p, piece)
 
-    return _make(np.concatenate([p.data for p in parts], axis=axis), parts, bwd)
+    return record(np.concatenate([p.data for p in parts], axis=axis), parts, bwd)
 
 
 def gather(a, rows):
@@ -320,72 +309,39 @@ def gather(a, rows):
     def bwd(g):
         gf = np.zeros_like(a.data)
         np.add.at(gf, rows, g)
-        _accum(a, gf)
+        accum(a, gf)
 
-    return _make(a.data[rows], (a,), bwd)
-
-
-def gather_cols(a, cols):
-    cols = np.asarray(cols, dtype=np.int64)
-    n = a.data.shape[1]
-    for c in cols:
-        if c < 0 or c >= n:
-            raise IndexError(f"gather_cols index {int(c)} out of range for {n} columns")
-
-    def bwd(g):
-        gf = np.zeros_like(a.data)
-        np.add.at(gf.T, cols, g.T)
-        _accum(a, gf)
-
-    return _make(a.data[:, cols], (a,), bwd)
+    return record(a.data[rows], (a,), bwd)
 
 
 def sum_all(a):
     def bwd(g):
-        _accum(a, np.broadcast_to(g, a.data.shape))
+        accum(a, np.broadcast_to(g, a.data.shape))
 
-    return _make(a.data.sum().reshape(1, 1), (a,), bwd)
+    return record(a.data.sum().reshape(1, 1), (a,), bwd)
+
+
+def softmax(x):
+    """Row-wise softmax of an array with max-subtraction; rows are nonnegative and sum to 1."""
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def softmax_backward(p, g):
+    """Cotangent of the logits of p = softmax(logits), given the cotangent g of p."""
+    return p * (g - (g * p).sum(axis=1, keepdims=True))
 
 
 def softmax_rows(a):
-    """Row-wise softmax with max-subtraction; rows are nonnegative and sum to 1."""
+    """Recorded row-wise softmax."""
     if np.isnan(a.data).any():
         raise NumericError("softmax_rows over NaN input")
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=1, keepdims=True)
+    out_data = softmax(a.data)
 
     def bwd(g):
-        dot = (g * out_data).sum(axis=1, keepdims=True)
-        _accum(a, out_data * (g - dot))
+        accum(a, softmax_backward(out_data, g))
 
-    return _make(out_data, (a,), bwd)
-
-
-def group_max_rows(a, groups):
-    """Per-row max over column groups; [m,n] -> [m,G].
-
-    Ties resolve to the lowest column index (groups carry ascending
-    positions). Backward routes the gradient only to the arg-max column.
-    """
-    m = a.data.shape[0]
-    arg = np.empty((m, len(groups)), dtype=np.int64)
-    out_data = np.empty((m, len(groups)), dtype=a.data.dtype)
-    rows = np.arange(m)
-    for k, pos in enumerate(groups):
-        pos_arr = np.asarray(pos, dtype=np.int64)
-        block = a.data[:, pos_arr]
-        j = block.argmax(axis=1)
-        arg[:, k] = pos_arr[j]
-        out_data[:, k] = block[rows, j]
-
-    def bwd(g):
-        gf = np.zeros_like(a.data)
-        for k in range(arg.shape[1]):
-            np.add.at(gf, (rows, arg[:, k]), g[:, k])
-        _accum(a, gf)
-
-    return _make(out_data, (a,), bwd)
+    return record(out_data, (a,), bwd)
 
 
 def neg_log_prob(p, cols, floor=1e-12):
@@ -404,9 +360,9 @@ def neg_log_prob(p, cols, floor=1e-12):
         gf = np.zeros_like(p.data)
         live = vals > floor
         gf[rows[live], cols[live]] = -g[live, 0] / vals[live]
-        _accum(p, gf)
+        accum(p, gf)
 
-    return _make(out_data, (p,), bwd)
+    return record(out_data, (p,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +413,8 @@ def _add_norm(x, y, w, mask, eps=1e-5):
 
 def _add_norm_backward(g, w, mask, xhat, s):
     """Accumulate the layer-norm gain/bias grads; returns (d residual, d sublayer)."""
-    _accum(w.ln_bias.value, g.sum(axis=0, keepdims=True))
-    _accum(w.ln_gain.value, (g * xhat).sum(axis=0, keepdims=True))
+    accum(w.ln_bias.value, g.sum(axis=0, keepdims=True))
+    accum(w.ln_gain.value, (g * xhat).sum(axis=0, keepdims=True))
     dxhat = g * w.ln_gain.value.data
     m1 = dxhat.mean(axis=1, keepdims=True)
     m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
@@ -525,7 +481,7 @@ def attention_block(x, kv, w, n_heads, causal=False, drop=None):
 
     def bwd(g):
         dx, dy = _add_norm_backward(g, w, mask, *norm)
-        _accum(wo, heads.T @ dy)
+        accum(wo, heads.T @ dy)
         dheads = dy @ wo.data.T
         dQ = np.zeros_like(Q)
         dK = np.zeros_like(K)
@@ -549,13 +505,13 @@ def attention_block(x, kv, w, n_heads, causal=False, drop=None):
                 dS = A * (dA - (dA * A).sum(axis=1, keepdims=True))
                 dQ[:, sl] += scale_factor * (dS @ Kj)
                 dK[:, sl] += scale_factor * (dS.T @ Qj)
-        _accum(wq, x.data.T @ dQ)
-        _accum(wk, kv.data.T @ dK)
-        _accum(wv, kv.data.T @ dV)
-        _accum(x, dx + dQ @ wq.data.T)
-        _accum(kv, dK @ wk.data.T + dV @ wv.data.T)
+        accum(wq, x.data.T @ dQ)
+        accum(wk, kv.data.T @ dK)
+        accum(wv, kv.data.T @ dV)
+        accum(x, dx + dQ @ wq.data.T)
+        accum(kv, dK @ wk.data.T + dV @ wv.data.T)
 
-    return _make(out, (x, kv, wq, wk, wv, wo, w.ln_gain.value, w.ln_bias.value), bwd)
+    return record(out, (x, kv, wq, wk, wv, wo, w.ln_gain.value, w.ln_bias.value), bwd)
 
 
 def ffn_forward(x, w, mask=None):
@@ -574,15 +530,15 @@ def ffn_block(x, w, drop=None):
 
     def bwd(g):
         dx, dy = _add_norm_backward(g, w, mask, *norm)
-        _accum(w.b2.value, dy.sum(axis=0, keepdims=True))
-        _accum(w.w2.value, hidden.T @ dy)
+        accum(w.b2.value, dy.sum(axis=0, keepdims=True))
+        accum(w.w2.value, hidden.T @ dy)
         dpre = (dy @ w.w2.value.data.T) * (pre > 0)
-        _accum(w.b1.value, dpre.sum(axis=0, keepdims=True))
-        _accum(w.w1.value, x.data.T @ dpre)
-        _accum(x, dx + dpre @ w.w1.value.data.T)
+        accum(w.b1.value, dpre.sum(axis=0, keepdims=True))
+        accum(w.w1.value, x.data.T @ dpre)
+        accum(x, dx + dpre @ w.w1.value.data.T)
 
     parents = (x, w.w1.value, w.b1.value, w.w2.value, w.b2.value, w.ln_gain.value, w.ln_bias.value)
-    return _make(out, parents, bwd)
+    return record(out, parents, bwd)
 
 
 def grad_check(f, params, eps=1e-5):

@@ -210,6 +210,8 @@ def load_kb(entities_file, predicates_file):
         where = f"{predicates_file}:{lineno}"
         if pid in predicates:
             raise IngestionError(f"{where}: duplicate predicate id {pid!r}")
+        if pid in entities:
+            raise IngestionError(f"{where}: predicate id {pid!r} is also an entity id")
         rec = PredicateRecord(
             id=pid,
             domain_words=tuple(tokenize(domain)),

@@ -6,6 +6,11 @@ subject placeholder and later expands to the full subject name, and
 scores for repeated tokens. The step distributions live in an extended
 vocabulary: the word vocab plus one slot per out-of-vocabulary context
 token.
+
+The copy head is four recorded ops (mode_switch, vocab_distribution,
+context_copy_distribution, mix_distributions), each a plain-numpy forward
+kernel plus a hand-written backward. The incremental Generator calls the
+same kernels, and the transformer sublayer kernels, on one new row per step.
 """
 
 from __future__ import annotations
@@ -85,15 +90,10 @@ class CopySource:
         self.n_oov = len(self.oov_tokens)
         self.n_extended = self.vocab_size + self.n_oov
         self._vocab = vocab
-        self._scatter = None
-
-    def scatter_matrix(self):
-        if self._scatter is None:
-            m = np.zeros((len(self.groups), self.n_extended))
-            for g, ext in enumerate(self.group_ext_ids):
-                m[g, ext] = 1.0
-            self._scatter = m
-        return self._scatter
+        # positions per group, padded with the group's first position; the
+        # pads never change a maximum or which position first holds it
+        width = max(map(len, self.groups))
+        self.group_index = np.array([g + g[:1] * (width - len(g)) for g in self.groups])
 
     def extended_id(self, token):
         g = self._group_of.get(token)
@@ -140,6 +140,16 @@ def mode_mask(use_kb_copy, use_ctx_copy):
     return np.array([[0.0, 0.0 if use_kb_copy else -1e9, 0.0 if use_ctx_copy else -1e9]])
 
 
+def mode_forward(s, y, params, offsets):
+    """Mode kernel on arrays: softmax of [lin_g, kb, lin_c] + offsets; (modes, saved)."""
+    cat = np.concatenate([s, y], axis=1)
+    logits = cat @ params.w_mode.value.data.T  # the middle column is replaced
+    pre = s @ params.kb_w1.value.data.T
+    hidden = np.maximum(pre, 0.0)
+    logits[:, 1:2] = hidden @ params.kb_w2.value.data.T
+    return ad.softmax(logits + offsets), (cat, pre, hidden)
+
+
 def mode_switch(states, prev_emb, params, use_kb_copy=True, use_ctx_copy=True):
     """Per-step (p_genv, p_cpkb, p_cpctx) as rows of [T, 3].
 
@@ -147,32 +157,58 @@ def mode_switch(states, prev_emb, params, use_kb_copy=True, use_ctx_copy=True):
     KB-copy logit comes from the two-layer perceptron on s_t. Disabled modes
     are masked to effectively -inf before the softmax.
     """
-    cat = ad.concat([states, prev_emb], axis=1)
-    lin = ad.matmul(cat, ad.transpose(params.w_mode.value))  # [T, 3]
-    kb_logit = ad.matmul(
-        ad.relu(ad.matmul(states, ad.transpose(params.kb_w1.value))),
-        ad.transpose(params.kb_w2.value),
-    )
-    logits = ad.concat(
-        [ad.gather_cols(lin, [0]), kb_logit, ad.gather_cols(lin, [2])], axis=1
-    )
-    mask = mode_mask(use_kb_copy, use_ctx_copy)
-    if mask.any():
-        logits = ad.add(logits, ad.tensor(mask))
-    return ad.softmax_rows(logits)
+    w, w1, w2 = params.w_mode.value, params.kb_w1.value, params.kb_w2.value
+    offsets = mode_mask(use_kb_copy, use_ctx_copy)
+    modes, (cat, pre, hidden) = mode_forward(states.data, prev_emb.data, params, offsets)
+    d = params.d
+
+    def bwd(g):
+        dlogits = ad.softmax_backward(modes, g)
+        dlin = dlogits * np.array([[1.0, 0.0, 1.0]])
+        ad.accum(w, dlin.T @ cat)
+        dcat = dlin @ w.data
+        dkb = dlogits[:, 1:2]
+        ad.accum(w2, dkb.T @ hidden)
+        dpre = (dkb @ w2.data) * (pre > 0)
+        ad.accum(w1, dpre.T @ states.data)
+        ad.accum(states, dcat[:, :d] + dpre @ w1.data)
+        ad.accum(prev_emb, dcat[:, d:])
+
+    return ad.record(modes, (states, prev_emb, w, w1, w2), bwd)
+
+
+def vocab_forward(s, params):
+    """Vocabulary kernel on arrays: softmax of the tied-embedding logits."""
+    return ad.softmax(s @ params.word_emb.value.data.T)
 
 
 def vocab_distribution(states, params):
     """Softmax over the word vocab from tied-embedding logits; [T, |V|]."""
-    logits = ad.matmul(states, ad.transpose(params.word_emb.value))
-    return ad.softmax_rows(logits)
+    emb = params.word_emb.value
+    p = vocab_forward(states.data, params)
+
+    def bwd(g):
+        dlogits = ad.softmax_backward(p, g)
+        ad.accum(emb, dlogits.T @ states.data)
+        ad.accum(states, dlogits @ emb.data)
+
+    return ad.record(p, (states, emb), bwd)
 
 
-def kb_copy_distribution(copy_source):
-    """The KB-copy mode's conditional distribution: a point mass on <subj>."""
-    row = np.zeros((1, copy_source.n_extended))
-    row[0, SUBJ] = 1.0
-    return ad.tensor(row)
+def context_copy_forward(s, keys, copy_source):
+    """Context-copy kernel on arrays; keys are the context rows times w_ctx.
+
+    Returns (p_ctx [T, G], saved). Each group keeps its lowest position
+    among those holding its maximum score.
+    """
+    scores = ad.softmax(s @ keys.T)  # [T, L]
+    index = copy_source.group_index  # [G, K]
+    block = scores[:, index]  # [T, G, K]
+    arg = index[np.arange(len(index)), block.argmax(axis=2)]  # [T, G] positions
+    reduced = block.max(axis=2)
+    total = reduced.sum(axis=1, keepdims=True)
+    p = reduced / total
+    return p, (scores, arg, total)
 
 
 def context_copy_distribution(states, context_rows, copy_source, params):
@@ -180,38 +216,55 @@ def context_copy_distribution(states, context_rows, copy_source, params):
 
     Per-position scores are a softmax over all of the concatenated context;
     each unique token then keeps the maximum over its positions (never the
-    sum), and the reduced scores are renormalized into a distribution.
+    sum), and the reduced scores are renormalized into a distribution. The
+    gradient of a group goes to the one position its maximum came from.
     """
-    keys = ad.matmul(context_rows, params.w_ctx.value)  # [L, d]
-    scores = ad.softmax_rows(ad.matmul(states, ad.transpose(keys)))  # [T, L]
-    reduced = ad.group_max_rows(scores, copy_source.groups)  # [T, G]
-    ones = ad.tensor(np.ones((len(copy_source.groups), 1)))
-    total = ad.matmul(reduced, ones)  # [T, 1]
-    return ad.div(reduced, total)
+    w_ctx = params.w_ctx.value
+    keys = context_rows.data @ w_ctx.data  # [L, d]
+    p, (scores, arg, total) = context_copy_forward(states.data, keys, copy_source)
+
+    def bwd(g):
+        dscores = np.zeros_like(scores)
+        np.put_along_axis(dscores, arg, (g - (g * p).sum(axis=1, keepdims=True)) / total, axis=1)
+        dlogits = ad.softmax_backward(scores, dscores)
+        ad.accum(states, dlogits @ keys)
+        dkeys = dlogits.T @ states.data
+        ad.accum(w_ctx, context_rows.data.T @ dkeys)
+        ad.accum(context_rows, dkeys @ w_ctx.data.T)
+
+    return ad.record(p, (states, context_rows, w_ctx), bwd)
+
+
+def mix_forward(modes, p_vocab, p_ctx, copy_source):
+    """Mixture kernel on arrays; [T, n_extended].
+
+    The KB-copy mode is a point mass on <subj>. Each copy group has its own
+    extended id, so the context-copy mass scatters without collisions.
+    """
+    dist = np.zeros((len(modes), copy_source.n_extended), dtype=p_vocab.dtype)
+    dist[:, : copy_source.vocab_size] = modes[:, :1] * p_vocab
+    dist[:, SUBJ] += modes[:, 1]
+    dist[:, copy_source.group_ext_ids] += modes[:, 2:] * p_ctx
+    return dist
 
 
 def mix_distributions(modes, p_vocab, p_ctx, copy_source):
     """Eq-style mixture over the extended vocabulary; rows sum to 1.
 
     A context token that is also a vocab word accumulates both its
-    generation and its copy mass on the shared entry; the KB-copy mode
-    weighs kb_copy_distribution.
+    generation and its copy mass on the shared entry.
     """
-    t_len = modes.data.shape[0]
-    p_g = ad.gather_cols(modes, [0])
-    p_k = ad.gather_cols(modes, [1])
-    p_c = ad.gather_cols(modes, [2])
-    if copy_source.n_oov:
-        base = ad.concat(
-            [p_vocab, ad.tensor(np.zeros((t_len, copy_source.n_oov)))], axis=1
-        )
-    else:
-        base = p_vocab
-    term_gen = ad.mul(base, p_g)
-    term_kb = ad.matmul(p_k, kb_copy_distribution(copy_source))
-    scattered = ad.matmul(p_ctx, ad.tensor(copy_source.scatter_matrix()))
-    term_ctx = ad.mul(scattered, p_c)
-    return ad.add(ad.add(term_gen, term_kb), term_ctx)
+    m, pv, pc = modes.data, p_vocab.data, p_ctx.data
+    ext = copy_source.group_ext_ids
+
+    def bwd(g):
+        g_vocab, g_ctx = g[:, : copy_source.vocab_size], g[:, ext]
+        dmodes = [(g_vocab * pv).sum(axis=1), g[:, SUBJ], (g_ctx * pc).sum(axis=1)]
+        ad.accum(modes, np.column_stack(dmodes))
+        ad.accum(p_vocab, g_vocab * m[:, :1])
+        ad.accum(p_ctx, g_ctx * m[:, 2:])
+
+    return ad.record(mix_forward(m, pv, pc, copy_source), (modes, p_vocab, p_ctx), bwd)
 
 
 def step_distributions(states, prev_emb, fact_enc, copy_source, params,
@@ -240,21 +293,17 @@ def _feedback_id(ext_id, vocab_size):
     return ext_id if ext_id < vocab_size else UNK
 
 
-def _softmax_vec(x):
-    e = np.exp(x - x.max())
-    return e / e.sum()
-
-
 class Generator:
     """Incremental decoding state: cached keys/values, one step at a time.
 
-    Each step runs one new row through the same sublayer kernels that
-    decode_states records (ad.attention_forward, ad.ffn_forward): causal
-    self-attention reads the per-layer K/V cache, fact attention the fact
-    K/V projected once per example. Only the copy head is mirrored in
-    numpy here. Used for greedy and beam search, where re-running the whole
-    prefix every step would be cubic in length. Tests pin its outputs to
-    the recorded-graph path.
+    Each step runs one new row through the same kernels that training
+    records: the sublayers (ad.attention_forward, ad.ffn_forward) and the
+    copy head (mode_forward, vocab_forward, context_copy_forward,
+    mix_forward). Causal self-attention reads the per-layer K/V cache, fact
+    attention the fact K/V and context copy the copy keys, all projected
+    once per example. Used for greedy and beam search, where re-running the
+    whole prefix every step would be cubic in length. Tests pin its outputs
+    to the recorded-graph path.
     """
 
     def __init__(self, model, example):
@@ -273,7 +322,7 @@ class Generator:
         # arrays are replaced, never written in place, so clones may share them
         self.self_cache = [(empty, empty) for _ in params.layers]
         self.t = 0
-        self.mode_mask = mode_mask(model.use_kb_copy, model.use_ctx_copy)[0]
+        self.mode_offsets = mode_mask(model.use_kb_copy, model.use_ctx_copy)
 
     def clone(self):
         other = copy.copy(self)
@@ -283,8 +332,8 @@ class Generator:
     def step(self, token_id):
         """Feed one input token; returns (dist, modes, p_vocab, p_ctx) rows."""
         params = self.model.decoder
-        emb = params.word_emb.value.data[token_id]
-        x = (emb + params.pos_table[self.t])[None, :]
+        emb = params.word_emb.value.data[[token_id]]
+        x = emb + params.pos_table[self.t]
         for li, layer in enumerate(params.layers):
             attn = layer.self_attn
             ks, vs = self.self_cache[li]
@@ -295,27 +344,14 @@ class Generator:
             x, _ = ad.attention_forward(x, ks, vs, attn, params.n_heads)
             x, _ = ad.attention_forward(x, *self.fact_kv[li], layer.fact_attn, params.n_heads)
             x, _ = ad.ffn_forward(x, layer.ffn)
-        x = x[0]
         self.t += 1
 
-        cat = np.concatenate([x, emb])
-        lin = params.w_mode.value.data @ cat
-        kb_logit = params.kb_w2.value.data[0] @ np.maximum(params.kb_w1.value.data @ x, 0.0)
-        logits = np.array([lin[0], kb_logit, lin[2]]) + self.mode_mask
-        modes = _softmax_vec(logits)
-
-        p_vocab = _softmax_vec(params.word_emb.value.data @ x)
-        sc = _softmax_vec(self.ctx_keys @ x)
         src = self.copy_source
-        reduced = np.array([max(sc[m] for m in group) for group in src.groups])
-        p_ctx = reduced / reduced.sum()
-
-        dist = np.zeros(src.n_extended)
-        dist[: src.vocab_size] = modes[0] * p_vocab
-        dist[SUBJ] += modes[1]
-        for g, ext in enumerate(src.group_ext_ids):
-            dist[ext] += modes[2] * p_ctx[g]
-        return dist, modes, p_vocab, p_ctx
+        modes, _ = mode_forward(x, emb, params, self.mode_offsets)
+        p_vocab = vocab_forward(x, params)
+        p_ctx, _ = context_copy_forward(x, self.ctx_keys, src)
+        dist = mix_forward(modes, p_vocab, p_ctx, src)
+        return dist[0], modes[0], p_vocab[0], p_ctx[0]
 
 
 def greedy_decode(model, example, max_len=32):

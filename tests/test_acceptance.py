@@ -79,13 +79,16 @@ def test_criterion_2_distribution_invariants(tmp_path):
             # maxout equals the brute-force position-max oracle exactly
             fact_enc = model.encode_fact(example)
             states = dec.decode_states(list(example.question[:-1]), fact_enc.h_f, model.decoder)
-            keys = ad.matmul(fact_enc.context_rows, model.decoder.w_ctx.value)
-            sc = ad.softmax_rows(ad.matmul(states, ad.transpose(keys)))
-            reduced = ad.group_max_rows(sc, result.copy_source.groups)
-            for t in range(sc.data.shape[0]):
+            keys = fact_enc.context_rows.data @ model.decoder.w_ctx.value.data
+            p_ctx, (sc, arg, total) = dec.context_copy_forward(
+                states.data, keys, result.copy_source
+            )
+            for t in range(sc.shape[0]):
                 for g, positions in enumerate(result.copy_source.groups):
-                    oracle = max(sc.data[t, m] for m in positions)
-                    assert reduced.data[t, g] == oracle
+                    oracle = max(sc[t, m] for m in positions)
+                    assert sc[t, arg[t, g]] == oracle
+                    assert arg[t, g] == min(m for m in positions if sc[t, m] == oracle)
+                    assert p_ctx[t, g] == oracle / total[t, 0]
                     maxout_checks += 1
     assert worst_dist < 1e-6
     assert worst_modes < 1e-9

@@ -163,8 +163,7 @@ def test_layer_norm_standardizes_rows(n, seed):
     assert np.all(np.abs(out.var(axis=1) - 1.0) < 1e-5)
 
 
-def test_relu_and_sigmoid_points():
-    assert ad.relu(ad.tensor([[-1.0, 2.0]])).data.tolist() == [[0.0, 2.0]]
+def test_sigmoid_points():
     assert ad.sigmoid(ad.tensor([[0.0]])).item() == 0.5
 
 
@@ -235,18 +234,6 @@ def test_grad_check_constant_function():
     assert ad.grad_check(f, [p]) == 0.0
 
 
-def test_group_max_rows_forward_and_backward():
-    x = ad.Parameter("x", np.array([[0.2, 0.5, 0.3], [0.9, 0.1, 0.9]]))
-    groups = [[0, 2], [1]]
-    out = ad.group_max_rows(x.value, groups)
-    assert np.allclose(out.data, [[0.3, 0.5], [0.9, 0.1]])
-    x.zero_grad()
-    ad.backward(ad.sum_all(out))
-    # row 0: max of cols {0,2} is col 2; row 1 ties -> lowest index col 0
-    expected = np.array([[0.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
-    assert np.array_equal(x.grad, expected)
-
-
 def test_neg_log_prob_floor_keeps_loss_finite():
     p = ad.tensor([[0.0, 1.0]])
     out = ad.neg_log_prob(p, [0])
@@ -272,14 +259,11 @@ PRIMITIVE_CASES = {
     "add": lambda p, q, w: ad.add(p, q),
     "sub": lambda p, q, w: ad.sub(p, q),
     "mul": lambda p, q, w: ad.mul(p, q),
-    "div": lambda p, q, w: ad.div(p, q),
-    "relu": lambda p, q, w: ad.relu(p),
     "tanh": lambda p, q, w: ad.tanh(p),
     "sigmoid": lambda p, q, w: ad.sigmoid(p),
     "softmax": lambda p, q, w: ad.softmax_rows(p),
     "concat0": lambda p, q, w: ad.concat([p, q], axis=0),
     "gather": lambda p, q, w: ad.gather(p, [1, 0, 1]),
-    "gather_cols": lambda p, q, w: ad.gather_cols(p, [2, 0]),
 }
 
 

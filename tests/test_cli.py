@@ -260,6 +260,8 @@ def _edit_second_row(column, value):
                  "not UTF-8 text", id="bad-byte-entities"),
     pytest.param("predicates.tsv", _edit_second_row(2, b"\xc3"),
                  "not UTF-8 text", id="cut-char-predicates"),
+    pytest.param("predicates.tsv", _edit_second_row(0, b"e0"),
+                 "predicate id 'e0' is also an entity id", id="entity-id-predicate-row"),
 ])
 def test_bad_corpus_row_is_exit_2(tmp_path, data_dir, capsys, command, name, edit, problem):
     root = tmp_path / "data"

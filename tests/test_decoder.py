@@ -3,6 +3,7 @@ import pytest
 
 from kbqgen import autodiff as ad
 from kbqgen import decoder as dec
+from kbqgen import encoder as enc
 from kbqgen.corpus import BOS, EOS, SUBJ, UNK, ContextSet, Example, Fact, KBVocab, Vocab
 from kbqgen.model import Model
 
@@ -159,22 +160,61 @@ def test_vocab_distribution_is_tied_softmax():
 
 
 def test_kb_copy_distribution_point_mass():
+    # with all weight on the KB-copy mode the mixture is a point mass on <subj>
     vocab = make_vocab()
     src = dec.CopySource(make_contexts(vocab), vocab)
-    out = dec.kb_copy_distribution(src)
+    rng = np.random.default_rng(24)
+    p_vocab = rng.random((1, len(vocab)))
+    p_ctx = rng.random((1, len(src.groups)))
+    out = dec.mix_distributions(
+        ad.tensor([[0.0, 1.0, 0.0]]),
+        ad.tensor(p_vocab / p_vocab.sum()), ad.tensor(p_ctx / p_ctx.sum()), src,
+    )
     assert out.data[0, SUBJ] == 1.0
     assert out.data.sum() == 1.0
+
+
+def copy_source_of(tokens):
+    # a copy source over one context holding `tokens` in order
+    vocab = make_vocab()
+    return dec.CopySource(ContextSet(tuple(tokens), (), ()), vocab)
+
+
+def copy_scores(scores, copy_source):
+    # runs the context-copy kernel so that its position scores equal `scores`:
+    # a one-dimensional state of 1 against keys log(scores)
+    keys = np.log(np.asarray(scores, dtype=np.float64))[:, None]
+    return dec.context_copy_forward(np.ones((1, 1)), keys, copy_source)
 
 
 def test_context_copy_hand_renormalization():
     # chi = [city, of, city] with position scores [0.2, 0.5, 0.3]:
     # pre-normalization {city: 0.3, of: 0.5}; post {city: 0.375, of: 0.625}
-    scores = ad.tensor([[0.2, 0.5, 0.3]])
-    reduced = ad.group_max_rows(scores, [[0, 2], [1]])
-    assert np.allclose(reduced.data, [[0.3, 0.5]])
-    total = ad.matmul(reduced, ad.tensor(np.ones((2, 1))))
-    out = ad.div(reduced, total)
-    assert np.allclose(out.data, [[0.375, 0.625]])
+    src = copy_source_of(["city", "of", "city"])
+    assert src.groups == [[0, 2], [1]]
+    p, (scores, arg, total) = copy_scores([0.2, 0.5, 0.3], src)
+    assert np.allclose(scores, [[0.2, 0.5, 0.3]])
+    assert arg.tolist() == [[2, 1]]
+    assert np.allclose(total, 0.8)
+    assert np.allclose(p, [[0.375, 0.625]])
+
+
+def test_context_copy_ties_route_to_first_position():
+    # city sits at positions 0 and 2 with equal scores: the maximum and its
+    # gradient come from position 0 only
+    src = copy_source_of(["city", "of", "city"])
+    p, (_, arg, _) = copy_scores([0.4, 0.2, 0.4], src)
+    assert arg.tolist() == [[0, 1]]
+    assert np.allclose(p, [[2 / 3, 1 / 3]])
+    rows = ad.Parameter("rows", np.log([[0.4], [0.2], [0.4]]))
+    m = Model(make_vocab(), KBVocab(["e0"], ["p0"]), d=1, heads=1, layers=1)
+    m.registry["copy.w_ctx"].value.data[...] = 1.0
+    out = dec.context_copy_distribution(ad.tensor([[1.0]]), rows.value, src, m.decoder)
+    rows.zero_grad()
+    ad.backward(ad.sum_all(ad.mul(out, ad.tensor([[1.0, 0.0]]))))
+    # both tied positions share the softmax term; only position 0 also
+    # receives the group's gradient, (1 - 2/3) / 0.6, times its score 0.4
+    assert rows.grad[0, 0] - rows.grad[2, 0] == pytest.approx(0.4 * (1 / 3) / 0.6, abs=1e-12)
 
 
 def test_context_copy_distinct_tokens_is_softmax():
@@ -228,16 +268,61 @@ def test_maxout_uses_max_never_sum():
     rng = np.random.default_rng(16)
     for _ in range(25):
         n = int(rng.integers(3, 9))
-        scores = rng.random((1, n))
+        scores = rng.random(n)
         scores /= scores.sum()
         split = int(rng.integers(2, n))
-        groups = [sorted(rng.choice(n, size=split, replace=False).tolist())]
-        rest = sorted(set(range(n)) - set(groups[0]))
-        groups += [[i] for i in rest]
-        reduced = ad.group_max_rows(ad.tensor(scores), groups).data[0]
-        assert reduced[0] == pytest.approx(max(scores[0, i] for i in groups[0]))
-        if len(groups[0]) > 1:
-            assert reduced[0] < sum(scores[0, i] for i in groups[0])
+        shared = sorted(rng.choice(n, size=split, replace=False).tolist())
+        src = copy_source_of(["city" if i in shared else f"w{i}" for i in range(n)])
+        assert src.groups[src.group_tokens.index("city")] == shared
+        p, (_, _, total) = copy_scores(scores, src)
+        reduced = (p * total)[0, src.group_tokens.index("city")]
+        assert reduced == pytest.approx(max(scores[i] for i in shared))
+        assert reduced < sum(scores[i] for i in shared)
+
+
+HEAD_CASES = [
+    pytest.param("mode_switch", True, True, id="mode_switch"),
+    pytest.param("mode_switch", False, True, id="mode_switch-no-kb-copy"),
+    pytest.param("mode_switch", True, False, id="mode_switch-no-ctx-copy"),
+    pytest.param("vocab_distribution", True, True, id="vocab_distribution"),
+    pytest.param("context_copy_distribution", True, True, id="context_copy_distribution"),
+    pytest.param("mix_distributions", True, True, id="mix_distributions"),
+    pytest.param("mix_distributions", False, True, id="mix_distributions-no-kb-copy"),
+    pytest.param("mix_distributions", True, False, id="mix_distributions-no-ctx-copy"),
+]
+
+
+@pytest.mark.parametrize("op, use_kb_copy, use_ctx_copy", HEAD_CASES)
+def test_copy_head_op_gradients(op, use_kb_copy, use_ctx_copy):
+    # the source repeats "city" and holds the OOV "rarity", so the mixture
+    # has an extension slot and a group of two positions
+    m = make_model(seed=23, init_range=0.5)
+    src = dec.CopySource(make_contexts(m.vocab), m.vocab)
+    assert src.n_oov == 1 and [0, 3] in src.groups
+    rng = np.random.default_rng(25)
+    states = ad.Parameter("states", rng.normal(size=(3, m.d)))
+    prev = ad.Parameter("prev", rng.normal(size=(3, m.d)))
+    rows = ad.Parameter("rows", rng.normal(size=(5, m.d)))
+    flags = {"use_kb_copy": use_kb_copy, "use_ctx_copy": use_ctx_copy}
+    named = lambda *names: [m.registry[n] for n in names]
+    if op == "mode_switch":
+        run = lambda: dec.mode_switch(states.value, prev.value, m.decoder, **flags)
+        checked = [states, prev] + named("mode.w", "mode.kb_w1", "mode.kb_w2")
+    elif op == "vocab_distribution":
+        run = lambda: dec.vocab_distribution(states.value, m.decoder)
+        checked = [states] + named("word_emb")
+    elif op == "context_copy_distribution":
+        run = lambda: dec.context_copy_distribution(states.value, rows.value, src, m.decoder)
+        checked = [states, rows] + named("copy.w_ctx")
+    else:
+        # the mixture over the other three ops, with a disabled mode's
+        # column exactly zero
+        run = lambda: dec.step_distributions(
+            states.value, prev.value, enc.AugmentedFact(None, rows.value), src, m.decoder, **flags
+        )[0]
+        checked = [states, prev, rows] + named("mode.w", "mode.kb_w1", "copy.w_ctx")
+    probe = ad.tensor(rng.normal(size=run().data.shape))
+    assert ad.grad_check(lambda: ad.sum_all(ad.mul(run(), probe)), checked) < 1e-4
 
 
 def test_mix_scalar_case():
@@ -319,21 +404,36 @@ def test_teacher_forced_distributions_feed_objective_unchanged(monkeypatch):
     assert np.isfinite(breakdown.total_loss)
 
 
-@pytest.mark.parametrize("layers", [1, 3])
-def test_incremental_generator_matches_recorded_graph(layers):
+@pytest.mark.parametrize("layers, use_kb_copy, use_ctx_copy", [
+    pytest.param(1, True, True, id="1"),
+    pytest.param(3, True, True, id="3"),
+    pytest.param(1, False, True, id="1-no-kb-copy"),
+    pytest.param(1, True, False, id="1-no-ctx-copy"),
+])
+def test_incremental_generator_matches_recorded_graph(layers, use_kb_copy, use_ctx_copy):
     # feeding the gold prefix step by step reproduces the teacher-forced
     # distributions computed in one recorded pass; with several layers a
     # K/V cache read from the wrong layer would show
+    tol = {"rtol": 1e-10, "atol": 1e-12}
     for seed in (0, 3, 9):
-        m = make_model(seed=seed, layers=layers)
+        m = make_model(seed=seed, layers=layers, use_kb_copy=use_kb_copy,
+                       use_ctx_copy=use_ctx_copy)
         example = make_example(m.vocab)
         result = m.forward_example(example)
-        gen = dec.Generator(m, example)
+        fact_enc = m.encode_fact(example)
         input_ids = list(example.question[:-1])
+        states = dec.decode_states(input_ids, fact_enc.h_f, m.decoder)
+        p_vocab = dec.vocab_distribution(states, m.decoder).data
+        p_ctx = dec.context_copy_distribution(
+            states, fact_enc.context_rows, result.copy_source, m.decoder
+        ).data
+        gen = dec.Generator(m, example)
         for t, token_id in enumerate(input_ids):
-            dist, modes, _, _ = gen.step(token_id)
-            np.testing.assert_allclose(dist, result.distributions.data[t], rtol=1e-10, atol=1e-12)
-            np.testing.assert_allclose(modes, result.modes.data[t], rtol=1e-10, atol=1e-12)
+            dist, modes, vocab_row, ctx_row = gen.step(token_id)
+            np.testing.assert_allclose(dist, result.distributions.data[t], **tol)
+            np.testing.assert_allclose(modes, result.modes.data[t], **tol)
+            np.testing.assert_allclose(vocab_row, p_vocab[t], **tol)
+            np.testing.assert_allclose(ctx_row, p_ctx[t], **tol)
 
 
 def test_greedy_decode_deterministic_and_bounded():

@@ -405,9 +405,12 @@ def _add_norm(x, y, w, mask, eps=1e-5):
     if mask is not None:
         y = y * mask
     z = x + y
-    mu = z.mean(axis=1, keepdims=True)
-    s = np.sqrt(z.var(axis=1, keepdims=True) + eps)
-    xhat = (z - mu) / s
+    # the arithmetic of z.mean and z.var, without their Python-level wrappers
+    # and with the mean taken once
+    n = z.shape[1]
+    c = z - z.sum(axis=1, keepdims=True) / n
+    s = np.sqrt((c * c).sum(axis=1, keepdims=True) / n + eps)
+    xhat = c / s
     return w.ln_gain.value.data * xhat + w.ln_bias.value.data, (xhat, s)
 
 

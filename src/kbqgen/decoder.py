@@ -87,6 +87,7 @@ class CopySource:
             else:
                 self.group_ext_ids.append(self.vocab_size + len(self.oov_tokens))
                 self.oov_tokens.append(tok)
+        self.group_ext_ids = np.array(self.group_ext_ids)
         self.n_oov = len(self.oov_tokens)
         self.n_extended = self.vocab_size + self.n_oov
         self._vocab = vocab
@@ -98,7 +99,7 @@ class CopySource:
     def extended_id(self, token):
         g = self._group_of.get(token)
         if g is not None:
-            return self.group_ext_ids[g]
+            return int(self.group_ext_ids[g])
         if token in self._vocab:
             return self._vocab.id(token)
         return UNK
@@ -198,17 +199,13 @@ def vocab_distribution(states, params):
 def context_copy_forward(s, keys, copy_source):
     """Context-copy kernel on arrays; keys are the context rows times w_ctx.
 
-    Returns (p_ctx [T, G], saved). Each group keeps its lowest position
-    among those holding its maximum score.
+    Returns (p_ctx [T, G], (scores [T, L], reduced [T, G], total [T, 1])):
+    the position scores, each group's maximum score and their row sums.
     """
-    scores = ad.softmax(s @ keys.T)  # [T, L]
-    index = copy_source.group_index  # [G, K]
-    block = scores[:, index]  # [T, G, K]
-    arg = index[np.arange(len(index)), block.argmax(axis=2)]  # [T, G] positions
-    reduced = block.max(axis=2)
+    scores = ad.softmax(s @ keys.T)
+    reduced = scores[:, copy_source.group_index].max(axis=2)
     total = reduced.sum(axis=1, keepdims=True)
-    p = reduced / total
-    return p, (scores, arg, total)
+    return reduced / total, (scores, reduced, total)
 
 
 def context_copy_distribution(states, context_rows, copy_source, params):
@@ -221,9 +218,12 @@ def context_copy_distribution(states, context_rows, copy_source, params):
     """
     w_ctx = params.w_ctx.value
     keys = context_rows.data @ w_ctx.data  # [L, d]
-    p, (scores, arg, total) = context_copy_forward(states.data, keys, copy_source)
+    p, (scores, _, total) = context_copy_forward(states.data, keys, copy_source)
 
     def bwd(g):
+        # the lowest position among those holding the group's maximum
+        index = copy_source.group_index
+        arg = index[np.arange(len(index)), scores[:, index].argmax(axis=2)]
         dscores = np.zeros_like(scores)
         np.put_along_axis(dscores, arg, (g - (g * p).sum(axis=1, keepdims=True)) / total, axis=1)
         dlogits = ad.softmax_backward(scores, dscores)
@@ -332,7 +332,7 @@ class Generator:
     def step(self, token_id):
         """Feed one input token; returns (dist, modes, p_vocab, p_ctx) rows."""
         params = self.model.decoder
-        emb = params.word_emb.value.data[[token_id]]
+        emb = params.word_emb.value.data[token_id : token_id + 1]
         x = emb + params.pos_table[self.t]
         for li, layer in enumerate(params.layers):
             attn = layer.self_attn

@@ -419,8 +419,9 @@ def _add_norm_backward(g, w, mask, xhat, s):
     accum(w.ln_bias.value, g.sum(axis=0, keepdims=True))
     accum(w.ln_gain.value, (g * xhat).sum(axis=0, keepdims=True))
     dxhat = g * w.ln_gain.value.data
-    m1 = dxhat.mean(axis=1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
+    n = g.shape[1]
+    m1 = dxhat.sum(axis=1, keepdims=True) / n
+    m2 = (dxhat * xhat).sum(axis=1, keepdims=True) / n
     dz = (dxhat - m1 - xhat * m2) / s
     return dz, dz if mask is None else dz * mask
 
@@ -433,9 +434,10 @@ def attention_forward(x, K, V, w, n_heads, causal=False, mask=None):
     """Attention sublayer on arrays: LayerNorm(x + Dropout(heads(x, K, V) W_o)).
 
     x [n,d] holds the query rows; K and V [m,d] are keys and values already
-    projected by w.wk and w.wv. With ``causal`` (n == m) query row t only
-    ever touches key/value rows up to t, so earlier outputs are bit-identical
-    under appends. ``mask`` multiplies the output projection (dropout).
+    projected by w.wk and w.wv. With ``causal`` (n == m) an additive -inf
+    mask above the diagonal gives key rows after t zero weight, so row t
+    depends only on rows up to t; a longer input changes earlier rows by
+    rounding at most. ``mask`` multiplies the output projection (dropout).
     """
     n, d = x.shape
     dh = d // n_heads
@@ -443,24 +445,16 @@ def attention_forward(x, K, V, w, n_heads, causal=False, mask=None):
     Q = x @ w.wq.value.data
     heads = np.empty((n, d), dtype=Q.dtype)
     attn = []
+    if causal:
+        future = np.triu(np.full((n, n), -np.inf, dtype=Q.dtype), k=1)
     for j in range(n_heads):
         sl = slice(j * dh, (j + 1) * dh)
-        Qj, Kj, Vj = Q[:, sl], K[:, sl], V[:, sl]
+        s = (Q[:, sl] @ K[:, sl].T) * scale_factor
         if causal:
-            rows = []
-            for t in range(n):
-                s = (Qj[t] @ Kj[: t + 1].T) * scale_factor
-                e = np.exp(s - s.max())
-                a_row = e / e.sum()
-                rows.append(a_row)
-                heads[t, sl] = a_row @ Vj[: t + 1]
-            attn.append(rows)
-        else:
-            s = (Qj @ Kj.T) * scale_factor
-            e = np.exp(s - s.max(axis=1, keepdims=True))
-            a_mat = e / e.sum(axis=1, keepdims=True)
-            attn.append(a_mat)
-            heads[:, sl] = a_mat @ Vj
+            s += future
+        a = softmax(s)
+        attn.append(a)
+        heads[:, sl] = a @ V[:, sl]
     out, norm = _add_norm(x, heads @ w.wo.value.data, w, mask)
     return out, (scale_factor, Q, heads, attn, norm)
 
@@ -479,35 +473,23 @@ def attention_block(x, kv, w, n_heads, causal=False, drop=None):
     out, (scale_factor, Q, heads, attn, norm) = attention_forward(
         x.data, K, V, w, n_heads, causal, mask
     )
-    n, d = Q.shape
-    dh = d // n_heads
+    dh = Q.shape[1] // n_heads
 
     def bwd(g):
         dx, dy = _add_norm_backward(g, w, mask, *norm)
         accum(wo, heads.T @ dy)
         dheads = dy @ wo.data.T
-        dQ = np.zeros_like(Q)
-        dK = np.zeros_like(K)
-        dV = np.zeros_like(V)
+        dQ = np.empty_like(Q)
+        dK = np.empty_like(K)
+        dV = np.empty_like(V)
         for j in range(n_heads):
             sl = slice(j * dh, (j + 1) * dh)
-            Qj, Kj, Vj = Q[:, sl], K[:, sl], V[:, sl]
-            dHj = dheads[:, sl]
-            if causal:
-                for t in range(n):
-                    a_row = attn[j][t]
-                    dA = dHj[t] @ Vj[: t + 1].T
-                    dV[: t + 1, sl] += np.outer(a_row, dHj[t])
-                    ds = a_row * (dA - (dA * a_row).sum())
-                    dQ[t, sl] += scale_factor * (ds @ Kj[: t + 1])
-                    dK[: t + 1, sl] += scale_factor * np.outer(ds, Qj[t])
-            else:
-                A = attn[j]
-                dA = dHj @ Vj.T
-                dV[:, sl] += A.T @ dHj
-                dS = A * (dA - (dA * A).sum(axis=1, keepdims=True))
-                dQ[:, sl] += scale_factor * (dS @ Kj)
-                dK[:, sl] += scale_factor * (dS.T @ Qj)
+            A, dHj = attn[j], dheads[:, sl]
+            dV[:, sl] = A.T @ dHj
+            # masked entries have A == 0, so their score gradient is 0 too
+            dS = softmax_backward(A, dHj @ V[:, sl].T)
+            dQ[:, sl] = scale_factor * (dS @ K[:, sl])
+            dK[:, sl] = scale_factor * (dS.T @ Q[:, sl])
         accum(wq, x.data.T @ dQ)
         accum(wk, kv.data.T @ dK)
         accum(wv, kv.data.T @ dV)

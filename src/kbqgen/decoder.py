@@ -113,8 +113,9 @@ class CopySource:
 def decode_states(prev_ids, h_f, params, drop=None):
     """All decoder states for a teacher-forced prefix; [T, d].
 
-    prev_ids must start with BOS. Causal self-attention guarantees that
-    appending tokens leaves earlier rows bit-identical.
+    prev_ids must start with BOS. Causal self-attention makes row t depend
+    only on tokens up to t: appending tokens changes earlier rows by
+    rounding at most.
     """
     if len(prev_ids) == 0:
         raise ad.ContractError("decode_states needs at least the BOS token")

@@ -77,6 +77,21 @@ def test_causality_appending_is_bit_exact():
     assert np.array_equal(full.data[: len(prefix)], part.data)
 
 
+@pytest.mark.parametrize("d, heads", [(8, 2), (32, 4)])
+def test_causality_prefix_rows_agree(d, heads):
+    # row t depends only on tokens up to t; a longer input may change its
+    # rounding, never more
+    vocab = make_vocab()
+    m = Model(vocab, KBVocab(["e0"], ["p0"]), d=d, heads=heads, layers=2, seed=4)
+    rng = np.random.default_rng(5)
+    h_f = ad.tensor(rng.normal(size=(3, d)))
+    ids = [BOS] + rng.integers(0, len(vocab), size=23).tolist()
+    full = dec.decode_states(ids, h_f, m.decoder).data
+    for t in range(1, len(ids)):
+        part = dec.decode_states(ids[:t], h_f, m.decoder).data
+        np.testing.assert_allclose(part, full[:t], rtol=0, atol=1e-12 * np.abs(full).max())
+
+
 def test_decode_states_gradients():
     m = make_model(seed=2, init_range=0.5)
     rng = np.random.default_rng(1)
@@ -403,13 +418,22 @@ def test_teacher_forced_distributions_feed_objective_unchanged(monkeypatch):
     assert np.isfinite(breakdown.total_loss)
 
 
-@pytest.mark.parametrize("layers, use_kb_copy, use_ctx_copy", [
-    pytest.param(1, True, True, id="1"),
-    pytest.param(3, True, True, id="3"),
-    pytest.param(1, False, True, id="1-no-kb-copy"),
-    pytest.param(1, True, False, id="1-no-ctx-copy"),
+SHORT_QUESTION = ("which", "city", "?")
+# 16 decoder rows: the masked self-attention sums rows of 8 or more keys
+# pairwise, where the recorded graph and the one-row step round differently
+LONG_QUESTION = ("what", "old", "city", "is", "located", "in", "which", "city", "of",
+                 "old", "what", "is", "in", "old", "?")
+
+
+@pytest.mark.parametrize("layers, use_kb_copy, use_ctx_copy, question", [
+    pytest.param(1, True, True, SHORT_QUESTION, id="1"),
+    pytest.param(3, True, True, SHORT_QUESTION, id="3"),
+    pytest.param(1, False, True, SHORT_QUESTION, id="1-no-kb-copy"),
+    pytest.param(1, True, False, SHORT_QUESTION, id="1-no-ctx-copy"),
+    pytest.param(2, True, True, LONG_QUESTION, id="2-long-question"),
 ])
-def test_incremental_generator_matches_recorded_graph(layers, use_kb_copy, use_ctx_copy):
+def test_incremental_generator_matches_recorded_graph(layers, use_kb_copy, use_ctx_copy,
+                                                      question):
     # feeding the gold prefix step by step reproduces the teacher-forced
     # distributions computed in one recorded pass; with several layers a
     # K/V cache read from the wrong layer would show
@@ -417,7 +441,7 @@ def test_incremental_generator_matches_recorded_graph(layers, use_kb_copy, use_c
     for seed in (0, 3, 9):
         m = make_model(seed=seed, layers=layers, use_kb_copy=use_kb_copy,
                        use_ctx_copy=use_ctx_copy)
-        example = make_example(m.vocab)
+        example = make_example(m.vocab, question=question)
         result = m.forward_example(example)
         fact_enc = m.encode_fact(example)
         input_ids = list(example.question[:-1])

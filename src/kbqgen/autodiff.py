@@ -1,19 +1,22 @@
 """Small dense-tensor autodiff engine for the question generation model.
 
 All tensors are 2-D row-major arrays (scalars are [1,1], vectors [1,n]).
-float64 is the default and the only mode the test suite uses; finite
-differences are not trustworthy in float32, which is offered purely as a
-training-speed option. Every operation records its inputs and a backward
-closure on its output, so a forward pass rebuilds the computation record
-from scratch (define-by-run) and ``backward`` replays it once in reverse
-topological order.
+float64 is the default and the only mode in which finite differences (and
+so ``grad_check``) are trustworthy; float32 is offered as a training-speed
+option and the test suite trains in it once. Every operation records its
+inputs and a backward closure on its output, so a forward pass rebuilds the
+computation record from scratch (define-by-run) and ``backward`` replays it
+once in reverse topological order.
 
-Transformer sublayers are single ops: ``attention_block`` and ``ffn_block``
-each record LayerNorm(x + Dropout(Sublayer(x))) with one hand-written
-backward, over the plain-numpy kernels ``attention_forward`` and
-``ffn_forward`` that incremental decoding calls directly. Ops defined
-outside this module (the decoder's copy head) use ``record`` and ``accum``
-the same way.
+The generic primitives are the few the model still composes (add, scale,
+concat, gather, sum_all, neg_log_prob), plus mul for fixed-cotangent
+probes. Every layer is one recorded op with a hand-written backward over a
+plain-numpy kernel. ``attention_block`` and ``ffn_block`` here record
+LayerNorm(x + Dropout(Sublayer(x))) over the kernels ``attention_forward``
+and ``ffn_forward``, which incremental decoding calls directly. Ops defined
+outside this module, the encoder's gated fusion and the decoder's copy
+head, use ``record``, ``accum``, ``softmax`` and ``softmax_backward`` the
+same way.
 
 Graphs are single-use: an optimizer may mutate Parameter values between
 passes, never during one. Recording is skipped entirely inside ``no_grad``.
@@ -198,27 +201,6 @@ def _check_broadcast(a, b, op):
 # ---------------------------------------------------------------------------
 
 
-def matmul(a, b):
-    """Matrix product [m,k]x[k,n] -> [m,n]."""
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(
-            f"matmul inner dimensions disagree: {a.data.shape} vs {b.data.shape}"
-        )
-
-    def bwd(g):
-        accum(a, g @ b.data.T)
-        accum(b, a.data.T @ g)
-
-    return record(a.data @ b.data, (a, b), bwd)
-
-
-def transpose(a):
-    def bwd(g):
-        accum(a, g.T)
-
-    return record(a.data.T.copy(), (a,), bwd)
-
-
 def add(a, b):
     _check_broadcast(a, b, "add")
 
@@ -227,16 +209,6 @@ def add(a, b):
         accum(b, _reduce_to(g, b.data.shape))
 
     return record(a.data + b.data, (a, b), bwd)
-
-
-def sub(a, b):
-    _check_broadcast(a, b, "sub")
-
-    def bwd(g):
-        accum(a, _reduce_to(g, a.data.shape))
-        accum(b, _reduce_to(-g, b.data.shape))
-
-    return record(a.data - b.data, (a, b), bwd)
 
 
 def mul(a, b):
@@ -257,29 +229,6 @@ def scale(a, c):
         accum(a, g * c)
 
     return record(a.data * c, (a,), bwd)
-
-
-def tanh(a):
-    out_data = np.tanh(a.data)
-
-    def bwd(g):
-        accum(a, g * (1.0 - out_data * out_data))
-
-    return record(out_data, (a,), bwd)
-
-
-def sigmoid(a):
-    x = a.data
-    out_data = np.empty_like(x)
-    pos = x >= 0
-    out_data[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out_data[~pos] = ex / (1.0 + ex)
-
-    def bwd(g):
-        accum(a, g * out_data * (1.0 - out_data))
-
-    return record(out_data, (a,), bwd)
 
 
 def concat(parts, axis):
@@ -330,18 +279,6 @@ def softmax(x):
 def softmax_backward(p, g):
     """Cotangent of the logits of p = softmax(logits), given the cotangent g of p."""
     return p * (g - (g * p).sum(axis=1, keepdims=True))
-
-
-def softmax_rows(a):
-    """Recorded row-wise softmax."""
-    if np.isnan(a.data).any():
-        raise NumericError("softmax_rows over NaN input")
-    out_data = softmax(a.data)
-
-    def bwd(g):
-        accum(a, softmax_backward(out_data, g))
-
-    return record(out_data, (a,), bwd)
 
 
 def neg_log_prob(p, cols, floor=1e-12):

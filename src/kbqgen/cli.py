@@ -57,7 +57,11 @@ def cmd_pretrain_kb(args):
     entities, predicates, kbvocab = cp.load_kb(
         data_dir / "entities.tsv", data_dir / "predicates.tsv"
     )
-    triples = [fact for path in fact_files for fact, _question in cp.load_facts(path, kbvocab)]
+    triples = [
+        (fact.subject, fact.predicate, fact.object)
+        for path in fact_files
+        for fact, _question in cp.load_facts(path, kbvocab)
+    ]
     emb = kbembed.pretrain_transe(
         triples, kbvocab, d=cfg.d, margin=cfg.transe_margin, lr=cfg.transe_lr,
         epochs=cfg.transe_epochs, neg_per_pos=cfg.transe_neg, seed=cfg.seed,
@@ -102,6 +106,8 @@ def _fact_ids(dataset, example):
 
 
 def cmd_generate(args):
+    if args.beam < 1:
+        raise tr.ConfigError(f"--beam must be at least 1, got {args.beam}")
     ckpt = tr.load_checkpoint(args.checkpoint)
     cfg = tr.parse_config(text=ckpt.config_text)
     dataset = cp.load_dataset(args.data_dir, diversified=cfg.diversified, min_freq=cfg.min_freq)
@@ -117,6 +123,8 @@ def cmd_generate(args):
 
 
 def cmd_eval(args):
+    if args.annotation_size < 0:
+        raise tr.ConfigError(f"--annotation-size must be >= 0, got {args.annotation_size}")
     dataset = cp.load_dataset(args.data_dir)
     examples = dataset.examples(args.split)
     lines = Path(args.generations).read_text(encoding="utf-8").splitlines()
@@ -207,11 +215,20 @@ def cmd_gradcheck(args):
     return 0 if worst < 1e-4 else 1
 
 
+def _seeds(text):
+    if text is None:
+        return [0, 1, 2]
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise tr.ConfigError(f"--seeds must be comma-separated integers, got {text!r}") from None
+
+
 def cmd_ablate(args):
     cfg = _config_from_args(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [0, 1, 2]
+    seeds = _seeds(args.seeds)
     if args.grid == "lambda-transe":
         dataset = cp.load_dataset(args.data_dir, diversified=cfg.diversified, min_freq=cfg.min_freq)
         rows = tr.ablate_lambda_transe(cfg, dataset, log=lambda r: print(_fmt_row(r)))

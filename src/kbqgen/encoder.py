@@ -4,7 +4,8 @@ A shared transformer encoder (no position signal: contexts are type bags)
 turns each of the three textual contexts into a matrix; an attentive summary
 from the atom's KB embedding is then fused with that embedding through a
 gated unit, and the three augmented rows are stacked into the 3 x d fact
-representation the decoder attends over.
+representation the decoder attends over. The fusion is one recorded op,
+``fuse``, over the plain-numpy kernel ``fusion_forward``.
 """
 
 from __future__ import annotations
@@ -69,21 +70,58 @@ def encode_context(token_ids, segment_label, params, drop=None):
     return x
 
 
-def attentive_vector(e, context):
-    """Attention summary of context rows [n,d] queried by e [1,d]."""
-    d = e.data.shape[1]
-    logits = ad.scale(ad.matmul(context, ad.transpose(e)), 1.0 / math.sqrt(d))
-    weights = ad.softmax_rows(ad.transpose(logits))
-    return ad.matmul(weights, context)
+def _sigmoid(x):
+    """Logistic function, split by sign so neither branch overflows exp."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
 
 
-def gated_fuse(c, e, fusion):
-    """g*tanh(W_f [c;e]) + (1-g)*e with g = sigmoid(W_g [c;e])."""
-    cat = ad.concat([c, e], axis=1)
-    f = ad.tanh(ad.matmul(cat, ad.transpose(fusion.w_f.value)))
-    g = ad.sigmoid(ad.matmul(cat, ad.transpose(fusion.w_g.value)))
-    ones = ad.tensor(np.ones_like(g.data))
-    return ad.add(ad.mul(g, f), ad.mul(ad.sub(ones, g), e))
+def fusion_forward(h, rows, lengths, fusion):
+    """Fusion kernel on arrays: g*tanh(W_f [c;h]) + (1-g)*h, g = sigmoid(W_g [c;h]).
+
+    h [n,d] holds the atoms' KB rows; rows [L,d] stacks their contexts, with
+    ``lengths[i]`` rows for atom i. c is each atom's attention summary of
+    its own context: an additive -inf mask gives the other contexts' rows
+    zero weight in the one [n,L] score matrix. Returns (out, saved).
+    """
+    scale_factor = 1.0 / math.sqrt(h.shape[1])
+    scores = (h @ rows.T) * scale_factor
+    if np.isnan(scores).any():
+        raise ad.NumericError("fusion attention over NaN scores")
+    ends = np.cumsum(lengths)
+    cols = np.arange(rows.shape[0])
+    own = (cols >= (ends - lengths)[:, None]) & (cols < ends[:, None])
+    attn = ad.softmax(scores + np.where(own, 0.0, -np.inf).astype(scores.dtype, copy=False))
+    cat = np.concatenate([attn @ rows, h], axis=1)
+    f = np.tanh(cat @ fusion.w_f.value.data.T)
+    g = _sigmoid(cat @ fusion.w_g.value.data.T)
+    return g * f + (1.0 - g) * h, (scale_factor, attn, cat, f, g)
+
+
+def fuse(h_f, context_rows, lengths, fusion):
+    """Recorded fusion: per-atom context attention and the gated unit as one op."""
+    w_f, w_g = fusion.w_f.value, fusion.w_g.value
+    h, rows = h_f.data, context_rows.data
+    out, (scale_factor, attn, cat, f, g) = fusion_forward(h, rows, lengths, fusion)
+    d = h.shape[1]
+
+    def bwd(grad):
+        dpre_f = grad * g * (1.0 - f * f)
+        dpre_g = grad * (f - h) * g * (1.0 - g)
+        ad.accum(w_f, dpre_f.T @ cat)
+        ad.accum(w_g, dpre_g.T @ cat)
+        dcat = dpre_f @ w_f.data + dpre_g @ w_g.data
+        dc = dcat[:, :d]
+        # masked entries have attn == 0, so their score gradient is 0 too
+        ds = scale_factor * ad.softmax_backward(attn, dc @ rows.T)
+        ad.accum(context_rows, attn.T @ dc + ds.T @ h)
+        ad.accum(h_f, grad * (1.0 - g) + dcat[:, d:] + ds @ rows)
+
+    return ad.record(out, (h_f, context_rows, w_f, w_g), bwd)
 
 
 def augment_fact(fact, contexts, kb_table, enc_params, fusion_params, use_fusion=True, drop=None):
@@ -97,12 +135,9 @@ def augment_fact(fact, contexts, kb_table, enc_params, fusion_params, use_fusion
         encode_context(contexts.predicate_ids, SEG_PREDICATE, enc_params, drop=drop),
         encode_context(contexts.object_ids, SEG_OBJECT, enc_params, drop=drop),
     ]
+    context_rows = ad.concat(ctx_matrices, axis=0)
     h_f = ad.gather(kb_table, [fact.subject, fact.predicate, fact.object])
     if use_fusion:
-        # each atom attends over its own context; the gate is row-wise, so
-        # the three rows share one pass through it
-        summaries = [
-            attentive_vector(ad.gather(h_f, [i]), ctx) for i, ctx in enumerate(ctx_matrices)
-        ]
-        h_f = gated_fuse(ad.concat(summaries, axis=0), h_f, fusion_params)
-    return AugmentedFact(h_f=h_f, context_rows=ad.concat(ctx_matrices, axis=0))
+        lengths = [m.shape[0] for m in ctx_matrices]
+        h_f = fuse(h_f, context_rows, lengths, fusion_params)
+    return AugmentedFact(h_f=h_f, context_rows=context_rows)

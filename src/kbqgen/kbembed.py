@@ -44,7 +44,7 @@ def pretrain_transe(triples, kbvocab, d, margin=1.0, lr=0.01, epochs=50, neg_per
     """
     if margin <= 0:
         raise ConfigError(f"TransE margin must be positive, got {margin}")
-    triples = [(f.subject, f.predicate, f.object) if hasattr(f, "subject") else tuple(f) for f in triples]
+    triples = list(triples)
     if not triples:
         raise ConfigError("TransE needs at least one triple")
     k = len(kbvocab)

@@ -339,7 +339,7 @@ def decode_split(model, dataset, split, beam=1, max_len=32):
     """Greedy/beam decode a split; returns realized token lists and modes."""
     outputs = []
     for example in dataset.examples(split):
-        if beam <= 1:
+        if beam == 1:
             tokens, modes = dec.greedy_decode(model, example, max_len=max_len)
         else:
             tokens, modes = dec.beam_decode(model, example, beam_width=beam, max_len=max_len)

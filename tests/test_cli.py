@@ -124,11 +124,9 @@ def test_generate_and_eval_roundtrip(tmp_path, data_dir, trained):
     assert set(metrics) == {"bleu4", "rouge_l", "meteor", "answer_coverage"}
 
 
-def test_eval_identity_scores_100(tmp_path, data_dir):
-    from kbqgen import corpus as cp
-
+def write_gold_generations(data_dir, gen):
+    """A generation file for the test split holding the reference questions."""
     ds = cp.load_dataset(data_dir)
-    gen = tmp_path / "gold.tsv"
     lines = []
     for ex in ds.examples("test"):
         fact_ids = " ".join(
@@ -136,6 +134,11 @@ def test_eval_identity_scores_100(tmp_path, data_dir):
         )
         lines.append(f"{fact_ids}\t{' '.join(ex.raw_question_words)}\tg")
     gen.write_text("".join(l + "\n" for l in lines), encoding="utf-8")
+
+
+def test_eval_identity_scores_100(tmp_path, data_dir):
+    gen = tmp_path / "gold.tsv"
+    write_gold_generations(data_dir, gen)
     out = tmp_path / "eval_gold"
     assert run("eval", "--generations", gen, "--data-dir", data_dir, "--out", out) == 0
     metrics = dict(l.split("\t") for l in (out / "report.tsv").read_text().splitlines())
@@ -231,6 +234,32 @@ def test_missing_split_is_exit_2(tmp_path, no_valid_dir, trained, capsys, comman
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "'valid'" in err and "facts.valid.tsv" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, flag, value, problem", [
+    pytest.param("ablate", "--seeds", "1,x", "must be comma-separated integers, got '1,x'",
+                 id="seeds-not-integers"),
+    pytest.param("ablate", "--seeds", "", "must be comma-separated integers, got ''",
+                 id="seeds-empty"),
+    pytest.param("eval", "--annotation-size", "-1", "must be >= 0, got -1",
+                 id="negative-annotation-size"),
+    pytest.param("generate", "--beam", "-2", "must be at least 1, got -2", id="negative-beam"),
+    pytest.param("generate", "--beam", "0", "must be at least 1, got 0", id="zero-beam"),
+])
+def test_bad_numeric_argument_is_exit_2(tmp_path, data_dir, trained, capsys,
+                                        command, flag, value, problem):
+    if command == "ablate":
+        rest = ("--grid", "components", "--data-dir", data_dir, "--out-dir", tmp_path / "abl",
+                "--set", "epochs=1", "--set", "d=16", "--set", "heads=2", "--set", "layers=1")
+    elif command == "eval":
+        write_gold_generations(data_dir, tmp_path / "gold.tsv")
+        rest = ("--generations", tmp_path / "gold.tsv", "--data-dir", data_dir,
+                "--out", tmp_path / "eval")
+    else:
+        rest = ("--checkpoint", trained / "model" / "model.ckpt", "--data-dir", data_dir,
+                "--out", tmp_path / "gen.tsv")
+    assert run(command, flag, value, *rest) == 2
+    assert capsys.readouterr().err == f"error: {flag} {problem}\n"
 
 
 def _edit_second_row(column, value):

@@ -60,67 +60,157 @@ def test_empty_context_rejected():
         enc.encode_context([], SEG_SUBJECT, m.encoder)
 
 
+def fusion_weights(rng, d, scale=0.5, dtype=np.float64):
+    return enc.FusionParams(
+        w_f=ad.Parameter("fusion.w_f", (rng.normal(size=(d, 2 * d)) * scale).astype(dtype)),
+        w_g=ad.Parameter("fusion.w_g", (rng.normal(size=(d, 2 * d)) * scale).astype(dtype)),
+    )
+
+
+def summaries(h, rows, lengths, fusion):
+    """The attention summaries c that fusion_forward gates into h."""
+    _, (_scale, _attn, cat, _f, _g) = enc.fusion_forward(h, rows, lengths, fusion)
+    return cat[:, : h.shape[1]]
+
+
+def numpy_fusion(h, rows, lengths, fusion):
+    """Per-atom oracle: each atom attends over its own context alone, then the gate."""
+    d = h.shape[1]
+    w_f, w_g = fusion.w_f.value.data, fusion.w_g.value.data
+    out, start = [], 0
+    for e, n in zip(h, lengths):
+        ctx = rows[start : start + n]
+        start += n
+        logits = ctx @ e / math.sqrt(d)
+        a = np.exp(logits - logits.max())
+        cat = np.concatenate([(a / a.sum()) @ ctx, e])
+        g = 1.0 / (1.0 + np.exp(-(w_g @ cat)))
+        out.append(g * np.tanh(w_f @ cat) + (1.0 - g) * e)
+    return np.array(out)
+
+
+def fusion_inputs(rng, d=6, lengths=(1, 2, 5)):
+    """KB rows and stacked context rows; the last context repeats a token."""
+    h = rng.normal(size=(len(lengths), d))
+    rows = rng.normal(size=(sum(lengths), d))
+    rows[-1] = rows[-3]
+    return h, rows, list(lengths)
+
+
 def test_attentive_vector_single_row():
-    c = ad.tensor([[1.0, 2.0, 3.0, 4.0]])
-    e = ad.tensor([[0.5, -0.5, 0.1, 0.9]])
-    out = enc.attentive_vector(e, c)
-    assert np.allclose(out.data, c.data)
+    # a one-row context is its own summary, whatever the query
+    rng = np.random.default_rng(0)
+    h, rows, lengths = fusion_inputs(rng, d=4, lengths=(1, 1, 1))
+    c = summaries(h, rows, lengths, fusion_weights(rng, 4))
+    assert np.allclose(c, rows)
 
 
 def test_attentive_vector_identical_rows():
     row = np.array([0.3, -0.7, 1.1, 0.0])
-    c = ad.tensor(np.tile(row, (4, 1)))
-    e = ad.tensor([[2.0, 0.0, -1.0, 5.0]])
-    out = enc.attentive_vector(e, c)
-    assert np.allclose(out.data[0], row)
+    rng = np.random.default_rng(1)
+    h = np.array([[2.0, 0.0, -1.0, 5.0], [0.1, 0.2, 0.3, 0.4], [-1.0, 1.0, -1.0, 1.0]])
+    rows = np.tile(row, (9, 1))
+    c = summaries(h, rows, [4, 2, 3], fusion_weights(rng, 4))
+    assert np.allclose(c, np.tile(row, (3, 1)))
 
 
 def test_attentive_vector_hand_case():
-    # n=2, d=2: logits = C.e/sqrt(2); weights via two-logit softmax by hand
-    c = np.array([[1.0, 0.0], [0.0, 1.0]])
-    e = np.array([[2.0, 1.0]])
-    logits = c @ e.T / math.sqrt(2)
+    # d=2, atom 0 over a 2-row context: logits = C.e/sqrt(2), two-logit softmax
+    # by hand; atom 1 has a one-row context and must not see atom 0's rows
+    ctx = np.array([[1.0, 0.0], [0.0, 1.0]])
+    e = np.array([2.0, 1.0])
+    logits = ctx @ e / math.sqrt(2)
     w = np.exp(logits - logits.max())
-    w = (w / w.sum()).reshape(-1)
-    expected = w @ c
-    out = enc.attentive_vector(ad.tensor(e), ad.tensor(c))
-    assert np.allclose(out.data[0], expected, atol=1e-12)
+    expected = (w / w.sum()) @ ctx
+    rows = np.vstack([ctx, [[3.0, -3.0]]])
+    h = np.array([e, [1.0, 1.0]])
+    c = summaries(h, rows, [2, 1], fusion_weights(np.random.default_rng(2), 2))
+    assert np.allclose(c[0], expected, atol=1e-12)
+    assert np.array_equal(c[1], [3.0, -3.0])
 
 
 def test_gated_fuse_zero_gate_weights():
     # W_g = 0 makes g = sigmoid(0) = 0.5 exactly: h = 0.5 f + 0.5 e
-    m = tiny_model()
-    m.fusion.w_g.value.data[...] = 0.0
     rng = np.random.default_rng(0)
-    c = ad.tensor(rng.normal(size=(1, m.d)))
-    e = ad.tensor(rng.normal(size=(1, m.d)))
-    h = enc.gated_fuse(c, e, m.fusion)
-    cat = np.concatenate([c.data, e.data], axis=1)
-    f = np.tanh(cat @ m.fusion.w_f.value.data.T)
-    assert np.allclose(h.data, 0.5 * f + 0.5 * e.data)
+    h, rows, lengths = fusion_inputs(rng, d=8)
+    fusion = fusion_weights(rng, 8)
+    fusion.w_g.value.data[...] = 0.0
+    out, _ = enc.fusion_forward(h, rows, lengths, fusion)
+    cat = np.concatenate([summaries(h, rows, lengths, fusion), h], axis=1)
+    f = np.tanh(cat @ fusion.w_f.value.data.T)
+    assert np.allclose(out, 0.5 * f + 0.5 * h)
 
 
 def test_gated_fuse_stays_in_unit_box():
-    m = tiny_model(seed=3)
     rng = np.random.default_rng(1)
+    fusion = fusion_weights(rng, 8, scale=0.3)
     for _ in range(20):
-        c = ad.tensor(rng.normal(size=(1, m.d)) * 3)
-        e = ad.tensor(rng.uniform(-0.999, 0.999, size=(1, m.d)))
-        h = enc.gated_fuse(c, e, m.fusion).data
-        assert np.all(h > -1.0) and np.all(h < 1.0)
+        rows = rng.normal(size=(8, 8)) * 3
+        h = rng.uniform(-0.999, 0.999, size=(3, 8))
+        out, _ = enc.fusion_forward(h, rows, [1, 2, 5], fusion)
+        assert np.all(out > -1.0) and np.all(out < 1.0)
 
 
 def test_gated_fuse_convex_between_f_and_e():
-    m = tiny_model(seed=4)
     rng = np.random.default_rng(2)
-    c = ad.tensor(rng.normal(size=(1, m.d)))
-    e = ad.tensor(rng.normal(size=(1, m.d)))
-    h = enc.gated_fuse(c, e, m.fusion).data
-    cat = np.concatenate([c.data, e.data], axis=1)
-    f = np.tanh(cat @ m.fusion.w_f.value.data.T)
-    lo = np.minimum(f, e.data)
-    hi = np.maximum(f, e.data)
-    assert np.all(h >= lo - 1e-12) and np.all(h <= hi + 1e-12)
+    h, rows, lengths = fusion_inputs(rng, d=8)
+    fusion = fusion_weights(rng, 8)
+    out, (_scale, _attn, _cat, f, _g) = enc.fusion_forward(h, rows, lengths, fusion)
+    assert np.all(out >= np.minimum(f, h) - 1e-12) and np.all(out <= np.maximum(f, h) + 1e-12)
+
+
+def test_fusion_forward_matches_per_atom_composition():
+    rng = np.random.default_rng(3)
+    h, rows, lengths = fusion_inputs(rng)
+    fusion = fusion_weights(rng, h.shape[1])
+    kernel, _ = enc.fusion_forward(h, rows, lengths, fusion)
+    np.testing.assert_allclose(kernel, numpy_fusion(h, rows, lengths, fusion), rtol=1e-12, atol=1e-12)
+    recorded = enc.fuse(ad.tensor(h), ad.tensor(rows), lengths, fusion).data
+    assert np.array_equal(recorded, kernel)
+
+
+def test_fusion_gradients():
+    rng = np.random.default_rng(4)
+    h0, rows0, lengths = fusion_inputs(rng)
+    h = ad.Parameter("h_f", h0)
+    rows = ad.Parameter("context_rows", rows0)
+    fusion = fusion_weights(rng, h0.shape[1])
+    probe = ad.tensor(rng.normal(size=h0.shape))
+
+    def f():
+        return ad.sum_all(ad.mul(enc.fuse(h.value, rows.value, lengths, fusion), probe))
+
+    assert ad.grad_check(f, [h, rows, fusion.w_f, fusion.w_g]) < 1e-4
+
+
+def test_fusion_segments_are_isolated():
+    # each atom reads only its own context: editing the middle context's
+    # rows leaves the other two output rows bit-identical
+    rng = np.random.default_rng(5)
+    h, rows, lengths = fusion_inputs(rng)
+    fusion = fusion_weights(rng, h.shape[1])
+    before, _ = enc.fusion_forward(h, rows, lengths, fusion)
+    edited = rows.copy()
+    edited[1:3] = rng.normal(size=(2, h.shape[1])) * 5
+    after, _ = enc.fusion_forward(h, edited, lengths, fusion)
+    assert np.array_equal(before[[0, 2]], after[[0, 2]])
+    assert not np.allclose(before[1], after[1])
+
+
+def test_fusion_refuses_nan_scores():
+    rng = np.random.default_rng(6)
+    h, rows, lengths = fusion_inputs(rng)
+    rows[4, 0] = np.nan
+    with pytest.raises(ad.NumericError, match="NaN"):
+        enc.fusion_forward(h, rows, lengths, fusion_weights(rng, h.shape[1]))
+
+
+def test_fusion_float32_stays_float32():
+    rng = np.random.default_rng(7)
+    h, rows, lengths = fusion_inputs(rng)
+    fusion = fusion_weights(rng, h.shape[1], dtype=np.float32)
+    out, _ = enc.fusion_forward(h.astype(np.float32), rows.astype(np.float32), lengths, fusion)
+    assert out.dtype == np.float32
 
 
 def _example_contexts(vocab):

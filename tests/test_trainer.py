@@ -93,7 +93,7 @@ def test_rmsprop_quadratic_bowl_converges():
     lr = 0.01
     for step in range(500):
         p.zero_grad()
-        diff = ad.sub(p.value, ad.tensor([[target]]))
+        diff = ad.add(p.value, ad.tensor([[-target]]))
         loss = ad.sum_all(ad.mul(diff, diff))
         ad.backward(loss)
         opt.step(lr * 0.97**step)

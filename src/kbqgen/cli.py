@@ -1,6 +1,6 @@
 """Batch command-line interface for the whole pipeline.
 
-Subcommands: synth, pretrain-kb, train, generate, eval, gradcheck, ablate.
+Subcommands: synth, train, generate, eval, gradcheck, ablate.
 Every command is deterministic for a fixed --seed (64-bit mode) and writes
 only under its --out/--out-dir. Exit codes: 0 success, 1 runtime failure,
 2 usage or config error.
@@ -14,7 +14,6 @@ from pathlib import Path
 
 from . import autodiff as ad
 from . import corpus as cp
-from . import kbembed
 from . import metrics
 from . import trainer as tr
 from .model import Model
@@ -38,37 +37,6 @@ def cmd_synth(args):
     cp.write_corpus(corpus, args.out_dir)
     n = {split: len(rows) for split, rows in corpus.fact_rows.items()}
     print(f"wrote corpus to {args.out_dir}: " + " ".join(f"{k}={v}" for k, v in n.items()))
-    return 0
-
-
-def _fact_files(path):
-    path = Path(path)
-    if path.is_dir():
-        files = sorted(path.glob("facts.*.tsv"))
-        if not files:
-            raise cp.IngestionError(f"{path}: no facts.*.tsv files")
-        return path, files
-    return path.parent, [path]
-
-
-def cmd_pretrain_kb(args):
-    cfg = _config_from_args(args)
-    data_dir, fact_files = _fact_files(args.facts)
-    entities, predicates, kbvocab = cp.load_kb(
-        data_dir / "entities.tsv", data_dir / "predicates.tsv"
-    )
-    triples = [
-        (fact.subject, fact.predicate, fact.object)
-        for path in fact_files
-        for fact, _question in cp.load_facts(path, kbvocab)
-    ]
-    emb = kbembed.pretrain_transe(
-        triples, kbvocab, d=cfg.d, margin=cfg.transe_margin, lr=cfg.transe_lr,
-        epochs=cfg.transe_epochs, neg_per_pos=cfg.transe_neg, seed=cfg.seed,
-    )
-    kbembed.save_checkpoint(emb, args.out)
-    print(f"pretrained KB embeddings on {len(triples)} triples -> {args.out}")
-    print(f"final epoch loss {emb.epoch_losses[-1]:.6f}" if emb.epoch_losses else "no epochs run")
     return 0
 
 
@@ -273,14 +241,6 @@ def build_parser():
     p.add_argument("--facts", type=int, default=90)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(fn=cmd_synth)
-
-    p = sub.add_parser("pretrain-kb", help="TransE-pretrain the KB embedding table")
-    p.add_argument("--config")
-    p.add_argument("--facts", required=True, help="corpus dir or a facts TSV file")
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--set", action="append", metavar="KEY=VALUE")
-    p.set_defaults(fn=cmd_pretrain_kb)
 
     p = sub.add_parser("train", help="train the question generator")
     p.add_argument("--config")

@@ -1,5 +1,8 @@
 """KB embedding table: random init or TransE pretraining.
 
+`trainer.build_model` runs the pretraining inside `train` when the config
+sets `transe`; the table then travels in the model checkpoint.
+
 The table covers entities and predicates in one dense index space (entities
 first). TransE treats a predicate row as a translation vector between its
 subject and object rows and is trained by margin-ranking SGD with one
@@ -13,21 +16,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import textckpt
 from .textckpt import ConfigError
 
 
 @dataclass
 class KBEmbeddingMatrix:
     table: np.ndarray  # [k, d]
-    pretrained: bool
     epoch_losses: tuple = ()
 
 
 def init_random(k, d, seed):
     """Uniform entries in [-0.08, 0.08], deterministic per seed."""
     rng = np.random.default_rng(seed)
-    return KBEmbeddingMatrix(table=rng.uniform(-0.08, 0.08, size=(k, d)), pretrained=False)
+    return KBEmbeddingMatrix(table=rng.uniform(-0.08, 0.08, size=(k, d)))
 
 
 def _normalize_entities(table, n_entities):
@@ -98,17 +99,4 @@ def pretrain_transe(triples, kbvocab, d, margin=1.0, lr=0.01, epochs=50, neg_per
                     table[p] -= lr * (u - v)
         _normalize_entities(table, n_entities)
         losses.append(probe_loss())
-    return KBEmbeddingMatrix(table=table, pretrained=epochs > 0, epoch_losses=tuple(losses))
-
-
-def save_checkpoint(emb, path):
-    """textckpt file: the pretrained flag, then the table as one block."""
-    textckpt.write(path, "kbqgen-kb", [("pretrained", int(emb.pretrained))], [("table", emb.table)])
-
-
-def load_checkpoint(path):
-    header, blocks = textckpt.read(path, "kbqgen-kb")
-    if list(blocks) != ["table"]:
-        raise ConfigError(f"{path}: blocks {sorted(blocks)}, expected only 'table'")
-    pretrained = textckpt.field(path, header, "pretrained", {"0": False, "1": True}.__getitem__)
-    return KBEmbeddingMatrix(table=blocks["table"], pretrained=pretrained)
+    return KBEmbeddingMatrix(table=table, epoch_losses=tuple(losses))

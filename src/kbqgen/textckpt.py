@@ -1,6 +1,6 @@
-"""The file format of model and KB checkpoints, and its one checked reader and writer.
+"""The file format of model checkpoints, and its one checked reader and writer.
 
-A `<magic> <version>` line, `<key> <value>` header lines, blocks that each
+A `kbqgen-model <version>` line, `<key> <value>` header lines, blocks that each
 open with a `block <name> <rows> <cols>` line followed by one line holding the
 base64 of the block's little-endian float64 bytes, then an `end sha256 <hex>`
 line: the SHA-256 of every byte before it. read() refuses any other text, a
@@ -17,6 +17,7 @@ import os
 
 import numpy as np
 
+MAGIC = "kbqgen-model"
 VERSION = 3
 
 
@@ -33,7 +34,7 @@ def field(path, header, key, parse=str):
         raise ConfigError(f"{path}: bad or missing {key!r} header line") from None
 
 
-def write(path, magic, header, blocks):
+def write(path, header, blocks):
     """header: (key, value) pairs; blocks: (name, 2-D array) pairs."""
     path = os.fspath(path)
     tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
@@ -45,7 +46,7 @@ def write(path, magic, header, blocks):
                 digest.update(line)
                 fh.write(line)
 
-            put(f"{magic} {VERSION}\n".encode())
+            put(f"{MAGIC} {VERSION}\n".encode())
             for key, value in header:
                 put(f"{key} {value}\n".encode())
             for name, arr in blocks:
@@ -69,7 +70,7 @@ def _hashed(fh, digest):
         yield lineno, line
 
 
-def read(path, magic):
+def read(path):
     """({key: [values]}, {block name: float64 array}) of a file that write() wrote."""
     header, blocks, lineno = {}, {}, 0
     digest = hashlib.sha256()
@@ -86,9 +87,9 @@ def read(path, magic):
     with open(path, "rb") as fh:
         lines = _hashed(fh, digest)
         lineno, line = next(lines, (1, b""))
-        if line.split() != [magic.encode(), str(VERSION).encode()]:
+        if line.split() != [MAGIC.encode(), str(VERSION).encode()]:
             got = line[:40].decode("utf-8", "replace").rstrip()
-            fail(f"expected '{magic} {VERSION}', got {got!r}")
+            fail(f"expected '{MAGIC} {VERSION}', got {got!r}")
         lineno, line = next(lines, (lineno + 1, b""))
         while line and not line.startswith((b"block ", b"end ")):
             key, _, value = text(line).rstrip("\n").partition(" ")

@@ -67,6 +67,10 @@ class TrainConfig:
             raise ConfigError(f"lambda must be >= 0, got {self.lam}")
         if self.batch_size < 1 or self.epochs < 0:
             raise ConfigError("batch_size must be >= 1 and epochs >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if min(self.d, self.heads, self.layers) < 1:
+            raise ConfigError(f"d, heads and layers must be >= 1, got {self.d}, {self.heads}, {self.layers}")
         if self.d % self.heads:
             raise ConfigError(f"d={self.d} not divisible by heads={self.heads}")
         if not 0 <= self.dropout < 1:
@@ -209,11 +213,11 @@ def save_checkpoint(ckpt, path):
     header += [("config", line) for line in ckpt.config_text.splitlines() if line]
     blocks = [(f"tensor/{name}", arr) for name, arr in ckpt.tensors.items()]
     blocks += [(f"moment/{name}", arr) for name, arr in ckpt.moments.items()]
-    textckpt.write(path, "kbqgen-model", header, blocks)
+    textckpt.write(path, header, blocks)
 
 
 def load_checkpoint(path):
-    header, blocks = textckpt.read(path, "kbqgen-model")
+    header, blocks = textckpt.read(path)
     tensors = {b[len("tensor/"):]: arr for b, arr in blocks.items() if b.startswith("tensor/")}
     moments = {b[len("moment/"):]: arr for b, arr in blocks.items() if b.startswith("moment/")}
     if len(tensors) + len(moments) != len(blocks):
@@ -432,7 +436,8 @@ def train(config, dataset, kb_matrix=None, resume=None, log=None):
 
 
 def model_from_checkpoint(config, dataset, ckpt):
-    model = build_model(replace(config, transe=False), dataset)
+    """The checkpoint's model; every weight comes from ckpt, no other file is read."""
+    model = build_model(replace(config, transe=False, word_vectors=""), dataset)
     _restore(model, ckpt)
     return model
 

@@ -144,13 +144,12 @@ def test_criterion_8_cli_determinism(tmp_path):
         data = root / "data"
         run("synth", "--seed", 7, "--entities", 18, "--predicates", 4,
             "--facts", 40, "--out-dir", data)
-        run("pretrain-kb", "--facts", data, "--out", root / "kb.ckpt",
-            "--seed", 1, "--set", "transe_epochs=2", "--set", "d=16")
         cfg = root / "run.cfg"
         cfg.write_text(
             "epochs=2\nd=16\nheads=2\nlayers=1\ndropout=0.1\nlambda=0.2\n", encoding="utf-8"
         )
-        run("train", "--config", cfg, "--data-dir", data, "--out-dir", root / "run", "--seed", 2)
+        run("train", "--config", cfg, "--data-dir", data, "--out-dir", root / "run", "--seed", 2,
+            "--transe", "on", "--set", "transe_epochs=2")
         run("generate", "--checkpoint", root / "run" / "model.ckpt", "--data-dir", data,
             "--split", "test", "--out", root / "gen.tsv", "--beam", 2)
         run("eval", "--generations", root / "gen.tsv", "--data-dir", data,
@@ -162,7 +161,7 @@ def test_criterion_8_cli_determinism(tmp_path):
     compared = []
     for rel in (
         "data/entities.tsv", "data/predicates.tsv", "data/facts.train.tsv",
-        "data/facts.valid.tsv", "data/facts.test.tsv", "kb.ckpt",
+        "data/facts.valid.tsv", "data/facts.test.tsv",
         "run/model.ckpt", "run/train_log.tsv", "run/config.txt", "gen.tsv",
         "eval/report.tsv", "eval/report.txt", "eval/per_example.tsv",
         "eval/annotation_sample.tsv", "abl/ablate_components.tsv",

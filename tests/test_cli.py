@@ -44,6 +44,12 @@ def test_unknown_command_is_usage_error(capsys):
     assert e.value.code == 2
 
 
+def test_pretrain_kb_is_usage_error():
+    with pytest.raises(SystemExit) as e:
+        run("pretrain-kb", "--facts", "data", "--out", "kb.ckpt")
+    assert e.value.code == 2
+
+
 def test_unknown_flag_is_usage_error():
     with pytest.raises(SystemExit) as e:
         run("synth", "--bogus", "1", "--out-dir", "/tmp/x")
@@ -70,6 +76,39 @@ def test_malformed_word_vectors_is_exit_2(tmp_path, data_dir, capsys, row):
     assert code == 2
     assert err.startswith(f"error: {vec_path}:1: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_generate_reads_no_word_vector_file(tmp_path, data_dir):
+    vec_path = tmp_path / "vectors.txt"
+    vec_path.write_text("what" + " 0.25" * 16 + "\n", encoding="utf-8")
+    assert run("train", "--data-dir", data_dir, "--out-dir", tmp_path / "out",
+               "--set", "epochs=1", "--set", "d=16", "--set", "heads=2", "--set", "layers=1",
+               "--set", f"word_vectors={vec_path}") == 0
+
+    def generate(name):
+        assert run("generate", "--checkpoint", tmp_path / "out" / "model.ckpt",
+                   "--data-dir", data_dir, "--out", tmp_path / name) == 0
+        return (tmp_path / name).read_bytes()
+
+    before = generate("before.tsv")
+    vec_path.rename(tmp_path / "moved.txt")
+    assert generate("after.tsv") == before
+
+
+@pytest.mark.parametrize("argv, problem", [
+    pytest.param(("train", "--set", "seed=-1"), "seed must be >= 0, got -1", id="seed"),
+    pytest.param(("train", "--set", "heads=0"), "got 32, 0, 2", id="heads-0"),
+    pytest.param(("train", "--set", "heads=-2"), "got 32, -2, 2", id="heads-negative"),
+    pytest.param(("train", "--set", "d=0"), "got 0, 2, 2", id="d-0"),
+    pytest.param(("train", "--set", "layers=-1"), "got 32, 2, -1", id="layers-negative"),
+    pytest.param(("ablate", "--grid", "components", "--seeds=-1"), "seed must be >= 0, got -1",
+                 id="ablate-seeds"),
+])
+def test_out_of_range_config_integer_is_exit_2(tmp_path, data_dir, capsys, argv, problem):
+    assert run(*argv, "--data-dir", data_dir, "--out-dir", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert problem in err and "Traceback" not in err
 
 
 def test_missing_data_is_runtime_error(tmp_path):
@@ -181,21 +220,6 @@ def test_eval_does_not_mutate_inputs(tmp_path, data_dir, trained):
     assert (Path(data_dir) / "facts.test.tsv").read_bytes() == before_facts
 
 
-def test_pretrain_kb_roundtrip(tmp_path, data_dir):
-    out = tmp_path / "kb.ckpt"
-    assert run("pretrain-kb", "--facts", data_dir, "--out", out,
-               "--seed", 2, "--set", "transe_epochs=2", "--set", "d=16") == 0
-    from kbqgen import kbembed
-
-    emb = kbembed.load_checkpoint(out)
-    assert emb.pretrained
-    assert emb.table.shape[1] == 16
-    out2 = tmp_path / "kb2.ckpt"
-    run("pretrain-kb", "--facts", data_dir, "--out", out2,
-        "--seed", 2, "--set", "transe_epochs=2", "--set", "d=16")
-    assert out.read_bytes() == out2.read_bytes()
-
-
 def test_gradcheck_command(capsys):
     assert run("gradcheck", "--seed", 0) == 0
     out = capsys.readouterr().out
@@ -273,7 +297,7 @@ def _edit_second_row(column, value):
     return edit
 
 
-@pytest.mark.parametrize("command", ["train", "pretrain-kb"])
+@pytest.mark.parametrize("command", ["train"])
 @pytest.mark.parametrize("name, edit, problem", [
     pytest.param("facts.train.tsv", _edit_second_row(0, b"p0"),
                  "subject 'p0' is not an entity id", id="predicate-as-subject"),
@@ -298,11 +322,7 @@ def test_bad_corpus_row_is_exit_2(tmp_path, data_dir, capsys, command, name, edi
     for path in Path(data_dir).iterdir():
         (root / path.name).write_bytes(path.read_bytes())
     (root / name).write_bytes(edit((root / name).read_bytes()))
-    if command == "train":
-        argv = ("train", "--data-dir", root, "--out-dir", tmp_path / "out", "--set", "epochs=1")
-    else:
-        argv = ("pretrain-kb", "--facts", root, "--out", tmp_path / "kb.ckpt")
-    assert run(*argv) == 2
+    assert run(command, "--data-dir", root, "--out-dir", tmp_path / "out", "--set", "epochs=1") == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {root / name}:2: {problem}")
     assert err.count("\n") == 1 and "Traceback" not in err

@@ -28,7 +28,6 @@ def test_init_random_deterministic_and_shaped():
     b = kb.init_random(5, 4, seed=9)
     assert a.table.shape == (5, 4)
     assert np.array_equal(a.table, b.table)
-    assert not a.pretrained
 
 
 def test_init_random_mean_near_zero():
@@ -41,7 +40,6 @@ def test_zero_epochs_matches_init():
     vocab, triples = chain_kb(6, 1)
     emb = kb.pretrain_transe(triples, vocab, d=8, epochs=0, seed=4)
     assert np.array_equal(emb.table, kb.init_random(len(vocab), 8, seed=4).table)
-    assert not emb.pretrained
 
 
 def test_margin_must_be_positive():
@@ -133,13 +131,3 @@ def test_lookup_is_pure():
     model.encode_fact(kb_example(Fact(1, 5, 2)))
     assert np.array_equal(model.kb_emb.value.data, before)
     assert np.array_equal(emb.table, table)
-
-
-def test_checkpoint_roundtrip_bit_exact(tmp_path):
-    vocab, triples = chain_kb(8, 2)
-    emb = kb.pretrain_transe(triples, vocab, d=8, epochs=2, seed=11)
-    path = tmp_path / "kb.ckpt"
-    kb.save_checkpoint(emb, path)
-    loaded = kb.load_checkpoint(path)
-    assert loaded.pretrained == emb.pretrained
-    assert np.array_equal(loaded.table, emb.table)

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kbqgen import cli
-from kbqgen import kbembed
 from kbqgen import textckpt
 from kbqgen import trainer as tr
 from kbqgen.cli import _gradcheck_fixture
@@ -32,15 +31,15 @@ def tiny_model_checkpoint():
 
 @pytest.fixture(scope="module")
 def saved(tmp_path_factory):
-    """File bytes of a tiny model checkpoint and a KB checkpoint, by kind."""
+    """File bytes by kind: a tiny model checkpoint, and a [6, 8] KB table as one block."""
     root = tmp_path_factory.mktemp("ckpt")
     tr.save_checkpoint(tiny_model_checkpoint(), root / "model.ckpt")
     table = np.random.default_rng(4).normal(size=(6, 8))
-    kbembed.save_checkpoint(kbembed.KBEmbeddingMatrix(table=table, pretrained=True), root / "kb.ckpt")
+    textckpt.write(root / "kb.ckpt", [], [("table", table)])
     return {"model": (root / "model.ckpt").read_bytes(), "kb": (root / "kb.ckpt").read_bytes()}
 
 
-LOADERS = {"model": tr.load_checkpoint, "kb": kbembed.load_checkpoint}
+LOADERS = {"model": tr.load_checkpoint, "kb": textckpt.read}
 
 
 def resign(data):
@@ -71,9 +70,9 @@ def damaged(draw, data):
 def test_round_trip_is_bit_exact(tmp_path):
     special = np.array([[0.0, -0.0, np.nan, np.inf], [-np.inf, 5e-324, 1 / 3, -1.7976931348623157e308]])
     path = tmp_path / "x.ckpt"
-    textckpt.write(path, "demo", [("a", 1), ("note", "two words"), ("a", "")],
+    textckpt.write(path, [("a", 1), ("note", "two words"), ("a", "")],
                    [("m", special), ("empty", np.zeros((0, 3)))])
-    header, blocks = textckpt.read(path, "demo")
+    header, blocks = textckpt.read(path)
     assert header == {"a": ["1", ""], "note": ["two words"]}
     assert textckpt.field(path, header, "note") == "two words"
     with pytest.raises(ConfigError, match="bad or missing 'a' header line"):
@@ -87,11 +86,11 @@ def test_round_trip_is_bit_exact(tmp_path):
 @pytest.mark.parametrize("row", ["\n", " \t\n"])
 def test_blank_row_is_refused_in_a_one_column_block(tmp_path, row):
     path = tmp_path / "x.ckpt"
-    textckpt.write(path, "demo", [], [("col", np.arange(3.0)[:, None])])
+    textckpt.write(path, [], [("col", np.arange(3.0)[:, None])])
     _, swap = block_line(path.read_bytes(), "col")
     path.write_bytes(resign(swap(row.rstrip("\n").encode())))
     with pytest.raises(ConfigError, match=r":3: block 'col': (0 bytes, expected 24|not base64)"):
-        textckpt.read(path, "demo")
+        textckpt.read(path)
 
 
 def test_saved_checkpoints_load_back(saved, tmp_path):
@@ -114,11 +113,18 @@ def test_model_file_cut_before_a_block_header_is_refused(saved, tmp_path):
         tr.load_checkpoint(path)
 
 
+def test_model_file_with_a_stray_block_is_refused(saved, tmp_path):
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(resign(saved["model"].replace(b"block tensor/", b"block table/", 1)))
+    with pytest.raises(ConfigError, match="a block named neither tensor/<name> nor moment/<name>"):
+        tr.load_checkpoint(path)
+
+
 @pytest.mark.parametrize(
     "old",
     [
         "kbqgen-model 1\nepoch 0\n",
-        "kbqgen-kb 1\nk 1\nd 1\npretrained 0\n0.5\n",
+        "kbqgen-kb 3\npretrained 0\nblock table 1 1\nAAAAAAAA4D8=\n",
         "kbqgen-model 2\nepoch 0\nconfighash 0\nblock tensor/w 1 2\n0.5 0.25\nend\n",
     ],
 )
@@ -126,9 +132,8 @@ def test_old_layout_is_refused(tmp_path, old):
     path = tmp_path / "old.ckpt"
     path.write_text(old, encoding="utf-8")
     magic, version = old.split()[:2]
-    loader = tr.load_checkpoint if magic == "kbqgen-model" else kbembed.load_checkpoint
-    with pytest.raises(ConfigError, match=f":1: expected '{magic} 3', got '{magic} {version}'"):
-        loader(path)
+    with pytest.raises(ConfigError, match=f":1: expected 'kbqgen-model 3', got '{magic} {version}'"):
+        tr.load_checkpoint(path)
 
 
 def drop_last_value(data):
@@ -152,13 +157,10 @@ def flip_a_base64_digit(data):
         (lambda t: t + b"extra\n", "data after the end line"),
         (lambda t: resign(t.replace(b"block table 6 8", b"block table 6 x")),
          "bad or repeated block header"),
-        (lambda t: resign(t.replace(b"pretrained 1", b"pretrained yes")),
-         "bad or missing 'pretrained' header line"),
         (lambda t: resign(t.replace(b"end sha256", b"block table 0 8\n\nend sha256")),
          "bad or repeated block header"),
         (lambda t: resign(block_line(t, "table")[1](b"AAAA*" + block_line(t, "table")[0][4:])),
          "not base64"),
-        (lambda t: resign(t.replace(b"block table", b"block tables")), "expected only 'table'"),
         (drop_last_value, "376 bytes, expected 384"),
         (add_a_value, "392 bytes, expected 384"),
         (flip_a_base64_digit, "sha256 on the end line does not match"),
@@ -169,7 +171,7 @@ def test_corrupt_kb_checkpoint_names_the_problem(saved, tmp_path, edit, problem)
     path = tmp_path / "kb.ckpt"
     path.write_bytes(edit(saved["kb"]))
     with pytest.raises(ConfigError, match=problem):
-        kbembed.load_checkpoint(path)
+        textckpt.read(path)
 
 
 def test_noncanonical_base64_padding_is_refused(tmp_path):
@@ -177,12 +179,12 @@ def test_noncanonical_base64_padding_is_refused(tmp_path):
     # digest over the file's text tells them apart
     assert binascii.a2b_base64(b"AAAAAAAAAAB=", strict_mode=True) == bytes(8)
     path = tmp_path / "x.ckpt"
-    textckpt.write(path, "demo", [], [("z", np.zeros((1, 1)))])
+    textckpt.write(path, [], [("z", np.zeros((1, 1)))])
     data = path.read_bytes()
     assert b"\nAAAAAAAAAAA=\n" in data
     path.write_bytes(data.replace(b"\nAAAAAAAAAAA=\n", b"\nAAAAAAAAAAB=\n"))
     with pytest.raises(ConfigError, match=":4: the sha256 on the end line does not match"):
-        textckpt.read(path, "demo")
+        textckpt.read(path)
 
 
 def test_non_utf8_checkpoint_is_refused(tmp_path):
@@ -198,7 +200,7 @@ def test_every_one_byte_change_and_every_cut_of_a_kb_file_is_refused(saved, tmp_
         for damaged_data in (data[:i], data[:i] + bytes([data[i] ^ 1]) + data[i + 1:]):
             path.write_bytes(damaged_data)
             with pytest.raises(ConfigError):
-                kbembed.load_checkpoint(path)
+                textckpt.read(path)
 
 
 class Exploding:
@@ -210,10 +212,10 @@ class Exploding:
 
 def test_failed_write_leaves_the_earlier_file_and_no_temp_file(tmp_path):
     path = tmp_path / "x.ckpt"
-    textckpt.write(path, "demo", [("a", 1)], [("m", np.ones((2, 2)))])
+    textckpt.write(path, [("a", 1)], [("m", np.ones((2, 2)))])
     before = path.read_bytes()
     with pytest.raises(RuntimeError, match="disk full"):
-        textckpt.write(path, "demo", [("a", 2)], [("m", np.zeros((2, 2))), ("n", Exploding())])
+        textckpt.write(path, [("a", 2)], [("m", np.zeros((2, 2))), ("n", Exploding())])
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["x.ckpt"]
 
@@ -222,8 +224,8 @@ def test_write_replaces_a_stale_temp_file_of_the_same_pid(tmp_path):
     path = tmp_path / "x.ckpt"
     stale = tmp_path / f".x.ckpt.{os.getpid()}.tmp"
     stale.write_bytes(b"left by a killed save")
-    textckpt.write(path, "demo", [("a", 1)], [("m", np.ones((2, 2)))])
-    header, blocks = textckpt.read(path, "demo")
+    textckpt.write(path, [("a", 1)], [("m", np.ones((2, 2)))])
+    header, blocks = textckpt.read(path)
     assert header == {"a": ["1"]} and np.array_equal(blocks["m"], np.ones((2, 2)))
     assert [p.name for p in tmp_path.iterdir()] == ["x.ckpt"]
 

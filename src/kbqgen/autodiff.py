@@ -9,14 +9,16 @@ computation record from scratch (define-by-run) and ``backward`` replays it
 once in reverse topological order.
 
 The generic primitives are the few the model still composes (add, scale,
-concat, gather, sum_all, neg_log_prob), plus mul for fixed-cotangent
-probes. Every layer is one recorded op with a hand-written backward over a
-plain-numpy kernel. ``attention_block`` and ``ffn_block`` here record
-LayerNorm(x + Dropout(Sublayer(x))) over the kernels ``attention_forward``
-and ``ffn_forward``, which incremental decoding calls directly. Ops defined
-outside this module, the encoder's gated fusion and the decoder's copy
-head, use ``record``, ``accum``, ``softmax`` and ``softmax_backward`` the
-same way.
+gather, sum_all, neg_log_prob), plus mul for fixed-cotangent probes; add
+and mul take operands of equal shape, with no broadcasting. Every layer is
+one recorded op with a hand-written backward over a plain-numpy kernel.
+``attention_block`` and ``ffn_block`` here record LayerNorm(x +
+Dropout(Sublayer(x))) over the kernels ``attention_forward`` and
+``ffn_forward``, which incremental decoding calls directly; one additive
+score bias masks the encoder's segments and the decoder's future rows. Ops
+defined outside this module, the encoder's gated fusion and the decoder's
+copy head, use ``record``, ``accum``, ``softmax`` and ``softmax_backward``
+the same way.
 
 Graphs are single-use: an optimizer may mutate Parameter values between
 passes, never during one. Recording is skipped entirely inside ``no_grad``.
@@ -172,28 +174,9 @@ def backward(loss):
             node._backward(node.grad)
 
 
-def _reduce_to(g, shape):
-    """Sum a broadcasted gradient back down to the operand's shape."""
-    if g.shape == shape:
-        return g
-    if shape == (1, 1):
-        return g.sum().reshape(1, 1)
-    if shape == (1, g.shape[1]):
-        return g.sum(axis=0, keepdims=True)
-    if shape == (g.shape[0], 1):
-        return g.sum(axis=1, keepdims=True)
-    raise ShapeError(f"cannot reduce gradient {g.shape} to {shape}")
-
-
-def _check_broadcast(a, b, op):
-    sa, sb = a.data.shape, b.data.shape
-    if sa == sb or sb == (1, 1) or sa == (1, 1):
-        return
-    if sb == (1, sa[1]) or sb == (sa[0], 1):
-        return
-    if sa == (1, sb[1]) or sa == (sb[0], 1):
-        return
-    raise ShapeError(f"{op}: shapes {sa} and {sb} do not align")
+def _check_same_shape(a, b, op):
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"{op}: shapes {a.data.shape} and {b.data.shape} differ")
 
 
 # ---------------------------------------------------------------------------
@@ -202,21 +185,21 @@ def _check_broadcast(a, b, op):
 
 
 def add(a, b):
-    _check_broadcast(a, b, "add")
+    _check_same_shape(a, b, "add")
 
     def bwd(g):
-        accum(a, _reduce_to(g, a.data.shape))
-        accum(b, _reduce_to(g, b.data.shape))
+        accum(a, g)
+        accum(b, g)
 
     return record(a.data + b.data, (a, b), bwd)
 
 
 def mul(a, b):
-    _check_broadcast(a, b, "mul")
+    _check_same_shape(a, b, "mul")
 
     def bwd(g):
-        accum(a, _reduce_to(g * b.data, a.data.shape))
-        accum(b, _reduce_to(g * a.data, b.data.shape))
+        accum(a, g * b.data)
+        accum(b, g * a.data)
 
     return record(a.data * b.data, (a, b), bwd)
 
@@ -231,34 +214,18 @@ def scale(a, c):
     return record(a.data * c, (a,), bwd)
 
 
-def concat(parts, axis):
-    """Concatenate along axis 0 (rows) or 1 (columns)."""
-    if axis not in (0, 1):
-        raise ShapeError(f"concat axis must be 0 or 1, got {axis}")
-    parts = list(parts)
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def bwd(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            piece = g[lo:hi] if axis == 0 else g[:, lo:hi]
-            accum(p, piece)
-
-    return record(np.concatenate([p.data for p in parts], axis=axis), parts, bwd)
-
-
 def gather(a, rows):
     """Pick rows by index; backward scatter-adds into the source rows."""
     rows = np.asarray(rows, dtype=np.int64)
     n = a.data.shape[0]
-    for r in rows:
-        if r < 0 or r >= n:
-            raise IndexError(f"gather index {int(r)} out of range for {n} rows")
+    bad = (rows < 0) | (rows >= n)
+    if bad.any():
+        raise IndexError(f"gather index {int(rows[bad.argmax()])} out of range for {n} rows")
 
-    def bwd(g):
-        gf = np.zeros_like(a.data)
-        np.add.at(gf, rows, g)
-        accum(a, gf)
+    def bwd(g):  # runs only when a requires grad
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+        np.add.at(a.grad, rows, g)
 
     return record(a.data[rows], (a,), bwd)
 
@@ -367,14 +334,15 @@ def _drop_mask(drop, x):
     return None if drop is None else drop(x.data.shape).astype(x.data.dtype, copy=False)
 
 
-def attention_forward(x, K, V, w, n_heads, causal=False, mask=None):
+def attention_forward(x, K, V, w, n_heads, bias=None, mask=None):
     """Attention sublayer on arrays: LayerNorm(x + Dropout(heads(x, K, V) W_o)).
 
     x [n,d] holds the query rows; K and V [m,d] are keys and values already
-    projected by w.wk and w.wv. With ``causal`` (n == m) an additive -inf
-    mask above the diagonal gives key rows after t zero weight, so row t
-    depends only on rows up to t; a longer input changes earlier rows by
-    rounding at most. ``mask`` multiplies the output projection (dropout).
+    projected by w.wk and w.wv. ``bias`` [n,m] is added to every head's
+    scores before the softmax: a -inf entry gives that key row zero weight
+    for that query row, and zero gradient. The rows a query may see thus
+    decide its output up to rounding. ``mask`` multiplies the output
+    projection (dropout).
     """
     n, d = x.shape
     dh = d // n_heads
@@ -382,13 +350,11 @@ def attention_forward(x, K, V, w, n_heads, causal=False, mask=None):
     Q = x @ w.wq.value.data
     heads = np.empty((n, d), dtype=Q.dtype)
     attn = []
-    if causal:
-        future = np.triu(np.full((n, n), -np.inf, dtype=Q.dtype), k=1)
     for j in range(n_heads):
         sl = slice(j * dh, (j + 1) * dh)
         s = (Q[:, sl] @ K[:, sl].T) * scale_factor
-        if causal:
-            s += future
+        if bias is not None:
+            s += bias
         a = softmax(s)
         attn.append(a)
         heads[:, sl] = a @ V[:, sl]
@@ -396,11 +362,12 @@ def attention_forward(x, K, V, w, n_heads, causal=False, mask=None):
     return out, (scale_factor, Q, heads, attn, norm)
 
 
-def attention_block(x, kv, w, n_heads, causal=False, drop=None):
+def attention_block(x, kv, w, n_heads, bias=None, drop=None):
     """Recorded attention sublayer: Q/K/V projections, per-head attention,
     output projection, dropout, residual and layer norm as one op.
 
     kv [m,d] supplies keys and values; it is x itself for self-attention.
+    ``bias`` is attention_forward's additive [n,m] score mask.
     ``drop(shape)`` hands out the dropout mask; None means no dropout.
     """
     wq, wk, wv, wo = w.wq.value, w.wk.value, w.wv.value, w.wo.value
@@ -408,7 +375,7 @@ def attention_block(x, kv, w, n_heads, causal=False, drop=None):
     V = kv.data @ wv.data
     mask = _drop_mask(drop, x)
     out, (scale_factor, Q, heads, attn, norm) = attention_forward(
-        x.data, K, V, w, n_heads, causal, mask
+        x.data, K, V, w, n_heads, bias, mask
     )
     dh = Q.shape[1] // n_heads
 

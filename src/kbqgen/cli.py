@@ -59,7 +59,8 @@ def cmd_train(args):
         print("training diverged; kept last finite checkpoint", file=sys.stderr)
         return 1
     if result.validated:
-        best_epoch, _, best_bleu = max(result.history, key=lambda h: h[2]) if result.history else (0, 0, 0)
+        best_epoch = result.best.epoch
+        best_bleu = next((bleu for epoch, _, bleu in result.history if epoch == best_epoch), 0.0)
         print(f"best valid BLEU-4 {best_bleu:.4f} at epoch {best_epoch}; checkpoint in {out_dir}")
     else:
         print("no validation ran (no facts.valid.tsv examples); saved the last epoch's checkpoint",

@@ -318,7 +318,6 @@ class Dataset:
     kbvocab: KBVocab
     vocab: Vocab
     splits: dict = field(default_factory=dict)  # split name -> list[Example]
-    diversified: bool = True
 
     def examples(self, split):
         try:
@@ -373,7 +372,7 @@ def load_dataset(data_dir, diversified=True, min_freq=2):
         substituted.append(toks)
     vocab = Vocab.from_questions(substituted, min_freq=min_freq)
 
-    dataset = Dataset(entities, predicates, kbvocab, vocab, diversified=diversified)
+    dataset = Dataset(entities, predicates, kbvocab, vocab)
     for split, split_rows in rows.items():
         dataset.splits[split] = [
             prepare_example(question, fact, entities, predicates, kbvocab, vocab, diversified)

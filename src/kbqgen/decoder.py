@@ -67,7 +67,6 @@ class CopySource:
         self.tokens = contexts.all_words
         if not self.tokens:
             raise ad.ContractError("empty copy source: contexts must be non-empty")
-        self.segments = contexts.segment_ids
         self.vocab_size = len(vocab)
         group_of = {}
         self.groups = []
@@ -113,9 +112,9 @@ class CopySource:
 def decode_states(prev_ids, h_f, params, drop=None):
     """All decoder states for a teacher-forced prefix; [T, d].
 
-    prev_ids must start with BOS. Causal self-attention makes row t depend
-    only on tokens up to t: appending tokens changes earlier rows by
-    rounding at most.
+    prev_ids must start with BOS. Self-attention is causal: a -inf bias
+    above the diagonal makes row t depend only on tokens up to t, so
+    appending tokens changes earlier rows by rounding at most.
     """
     if len(prev_ids) == 0:
         raise ad.ContractError("decode_states needs at least the BOS token")
@@ -130,8 +129,9 @@ def decode_states(prev_ids, h_f, params, drop=None):
         ad.gather(params.word_emb.value, list(prev_ids)),
         ad.tensor(params.pos_table[:t_len]),
     )
+    future = np.triu(np.full((t_len, t_len), -np.inf, dtype=x.data.dtype), k=1)
     for layer in params.layers:
-        x = ad.attention_block(x, x, layer.self_attn, params.n_heads, causal=True, drop=drop)
+        x = ad.attention_block(x, x, layer.self_attn, params.n_heads, bias=future, drop=drop)
         x = ad.attention_block(x, h_f, layer.fact_attn, params.n_heads, drop=drop)
         x = ad.ffn_block(x, layer.ffn, drop=drop)
     return x

@@ -203,7 +203,7 @@ class Checkpoint:
 class TrainResult:
     best: Checkpoint
     last: Checkpoint
-    history: list  # (epoch, train loss, valid bleu4)
+    history: list  # (epochs done, train loss, valid bleu4), the epoch numbered from 1
     validated: bool  # False without a valid split: best is then the last checkpoint
     aborted: bool = False
 
@@ -294,20 +294,25 @@ def load_word_vectors(path, vocab, d):
     return vectors
 
 
+def pretrain_kb(config, dataset):
+    """TransE table over every split's facts; depends only on them, d, the transe_* keys and the seed."""
+    triples = [
+        (ex.fact.subject, ex.fact.predicate, ex.fact.object)
+        for split in sorted(dataset.splits)
+        for ex in dataset.splits[split]
+    ]
+    return kbembed.pretrain_transe(
+        triples, dataset.kbvocab, d=config.d,
+        margin=config.transe_margin, lr=config.transe_lr,
+        epochs=config.transe_epochs, neg_per_pos=config.transe_neg,
+        seed=config.seed,
+    )
+
+
 def build_model(config, dataset, kb_matrix=None):
-    """Model for a dataset per config; pretrains TransE when asked."""
+    """Model for a dataset per config; pretrains TransE when asked and no kb_matrix is given."""
     if kb_matrix is None and config.transe:
-        triples = [
-            (ex.fact.subject, ex.fact.predicate, ex.fact.object)
-            for split in sorted(dataset.splits)
-            for ex in dataset.splits[split]
-        ]
-        kb_matrix = kbembed.pretrain_transe(
-            triples, dataset.kbvocab, d=config.d,
-            margin=config.transe_margin, lr=config.transe_lr,
-            epochs=config.transe_epochs, neg_per_pos=config.transe_neg,
-            seed=config.seed,
-        )
+        kb_matrix = pretrain_kb(config, dataset)
     vectors = (
         load_word_vectors(config.word_vectors, dataset.vocab, config.d)
         if config.word_vectors else None
@@ -420,9 +425,9 @@ def train(config, dataset, kb_matrix=None, resume=None, log=None):
             return TrainResult(best=best, last=last, history=history, validated=validate, aborted=True)
         mean_loss = epoch_loss / max(len(train_examples), 1)
         bleu = valid_bleu(model, dataset, max_len=config.max_len) if validate else 0.0
-        history.append((epoch, mean_loss, bleu))
+        history.append((epoch + 1, mean_loss, bleu))
         if log is not None:
-            log(epoch, mean_loss, bleu)
+            log(*history[-1])
         last = _snapshot(model, optimizer, epoch + 1, config)
         if not validate or bleu > best_bleu:
             best_bleu = bleu
@@ -459,13 +464,15 @@ COMPONENT_VARIANTS = (
 
 def ablate_lambda_transe(config, dataset, lambdas=LAMBDA_GRID, transe_options=(True, False),
                          split="test", log=None):
-    """Grid over answer-loss weight x TransE init; BLEU-4 and coverage per cell."""
+    """Grid over answer-loss weight x TransE init (pretrained once); BLEU-4 and coverage per cell."""
     examples = dataset.examples(split)
+    kb_matrix = pretrain_kb(config, dataset) if any(transe_options) else None
     rows = []
     for use_transe in transe_options:
         for lam in lambdas:
             run_cfg = replace(config, lam=lam, transe=use_transe)
-            model = model_from_checkpoint(run_cfg, dataset, train(run_cfg, dataset).best)
+            ckpt = train(run_cfg, dataset, kb_matrix=kb_matrix if use_transe else None).best
+            model = model_from_checkpoint(run_cfg, dataset, ckpt)
             tokens = [t for t, _ in decode_split(model, dataset, split, max_len=config.max_len)]
             bleu = metrics.bleu4(tokens, [list(ex.raw_question_words) for ex in examples])
             coverage = metrics.answer_coverage(tokens, [set(ex.answer_type_words) for ex in examples])
@@ -479,8 +486,11 @@ def ablate_components(config, load_dataset_fn, seeds=(0, 1, 2), split="valid", l
     """Single-component ablations; per-variant median valid BLEU over seeds.
 
     ``load_dataset_fn(diversified)`` supplies the dataset, since dropping
-    diversified contexts changes the data itself, not just the model.
+    diversified contexts changes the data itself, not just the model. With
+    ``transe`` on, TransE is pretrained once per seed and shared by the
+    variants: they all keep the same facts.
     """
+    kb_by_seed = {}
     rows = []
     for name, flags in COMPONENT_VARIANTS:
         flags = {"diversified": True, **flags}
@@ -489,7 +499,10 @@ def ablate_components(config, load_dataset_fn, seeds=(0, 1, 2), split="valid", l
         bleus = []
         for seed in seeds:
             run_cfg = replace(config, seed=seed, **flags)
-            model = model_from_checkpoint(run_cfg, dataset, train(run_cfg, dataset).best)
+            if config.transe and seed not in kb_by_seed:
+                kb_by_seed[seed] = pretrain_kb(run_cfg, dataset)
+            ckpt = train(run_cfg, dataset, kb_matrix=kb_by_seed.get(seed)).best
+            model = model_from_checkpoint(run_cfg, dataset, ckpt)
             bleus.append(valid_bleu(model, dataset, split, max_len=config.max_len))
         rows.append({"variant": name, "bleu4_median": float(np.median(bleus)), "bleu4_runs": bleus})
         if log is not None:

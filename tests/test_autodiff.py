@@ -206,22 +206,17 @@ def test_neg_log_prob_floor_keeps_loss_finite():
     assert out.item() == pytest.approx(-np.log(1e-12))
 
 
-def test_concat_roundtrip_gradients():
-    rng = np.random.default_rng(4)
-    a = ad.Parameter("a", rng.normal(size=(2, 3)))
-    b = ad.Parameter("b", rng.normal(size=(2, 2)))
-    w = ad.tensor(rng.normal(size=(2, 5)))
-
-    def f():
-        return ad.sum_all(ad.mul(ad.concat([a.value, b.value], axis=1), w))
-
-    assert check_op(f, [a, b]) < 1e-4
+@pytest.mark.parametrize("op", [ad.add, ad.mul])
+def test_add_and_mul_refuse_unequal_shapes(op):
+    a = ad.tensor(np.ones((2, 3)))
+    for other in ((1, 3), (2, 1), (1, 1), (3, 2)):
+        with pytest.raises(ad.ShapeError, match="differ"):
+            op(a, ad.tensor(np.ones(other)))
 
 
 PRIMITIVE_CASES = {
     "add": lambda p, q, w: ad.add(p, q),
     "mul": lambda p, q, w: ad.mul(p, q),
-    "concat0": lambda p, q, w: ad.concat([p, q], axis=0),
     "gather": lambda p, q, w: ad.gather(p, [1, 0, 1]),
 }
 
@@ -273,6 +268,11 @@ def sublayer_params(w):
     return [getattr(w, name) for name in vars(w)]
 
 
+def future(n):
+    """The causal score bias: -inf above the diagonal."""
+    return np.triu(np.full((n, n), -np.inf), k=1)
+
+
 @pytest.mark.parametrize("causal", [False, True])
 def test_multihead_attention_gradients(causal):
     # self-attention block, with and without a dropout mask
@@ -287,7 +287,8 @@ def test_multihead_attention_gradients(causal):
             drop = None if mask is None else (lambda shape, m=mask: m)
 
             def f():
-                out = ad.attention_block(x.value, x.value, w, 2, causal=causal, drop=drop)
+                out = ad.attention_block(x.value, x.value, w, 2, bias=future(n) if causal else None,
+                                         drop=drop)
                 return weighted_sum(out)
 
             assert check_op(f, [x] + sublayer_params(w)) < 1e-4
@@ -367,13 +368,14 @@ def test_sublayer_forward_matches_numpy_composition(case, masked):
     else:
         w = attention_weights(rng, d)
         causal = case == "causal"
+        bias = future(n) if causal else None
         expected = numpy_attention(x, kv, w, heads, causal, mask)
         kv_t = ad.tensor(kv)
         recorded = ad.attention_block(
-            kv_t if kv is x else ad.tensor(x), kv_t, w, heads, causal=causal, drop=drop
+            kv_t if kv is x else ad.tensor(x), kv_t, w, heads, bias=bias, drop=drop
         ).data
         K, V = kv @ w.wk.value.data, kv @ w.wv.value.data
-        kernel, _ = ad.attention_forward(x, K, V, w, heads, causal=causal, mask=mask)
+        kernel, _ = ad.attention_forward(x, K, V, w, heads, bias=bias, mask=mask)
     np.testing.assert_allclose(recorded, expected, rtol=1e-12, atol=1e-12)
     assert np.array_equal(kernel, recorded)
 

@@ -234,6 +234,48 @@ def test_log_format(trained):
         int(epoch), float(loss), float(bleu)
 
 
+def test_best_epoch_line_names_the_checkpoint_epoch(tmp_path, data_dir, capsys):
+    from kbqgen import trainer as tr
+
+    out = tmp_path / "out"
+    assert run("train", "--data-dir", data_dir, "--out-dir", out, "--set", "epochs=3",
+               "--set", "d=16", "--set", "heads=2", "--set", "layers=1") == 0
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert line.startswith("best valid BLEU-4 ")
+    named = int(line.split(" at epoch ")[1].split(";")[0])
+    assert named == tr.load_checkpoint(out / "model.ckpt").epoch
+    logged = [line.split("\t")[0] for line in (out / "train_log.tsv").read_text().splitlines()]
+    assert logged == ["1", "2", "3"]
+
+
+def test_lambda_transe_grid_pretrains_once(tmp_path, data_dir, monkeypatch):
+    from dataclasses import replace
+
+    from kbqgen import kbembed, metrics
+    from kbqgen import trainer as tr
+
+    calls = []
+    pretrain = kbembed.pretrain_transe
+    monkeypatch.setattr(kbembed, "pretrain_transe", lambda *a, **kw: calls.append(1) or pretrain(*a, **kw))
+    overrides = ["epochs=1", "transe_epochs=2", "d=8", "heads=2", "layers=1"]
+    argv = ["ablate", "--grid", "lambda-transe", "--data-dir", data_dir, "--out-dir", tmp_path]
+    assert run(*argv, *[arg for o in overrides for arg in ("--set", o)]) == 0
+    rows = (tmp_path / "ablate_lambda_transe.tsv").read_text().splitlines()[1:]
+    assert len(rows) == 10 and len(calls) == 1
+    # the shared table gives each TransE cell what it gets pretraining alone
+    cfg = tr.parse_config(overrides=overrides)
+    dataset = cp.load_dataset(data_dir)
+    examples = dataset.examples("test")
+    for row, lam in zip(rows, tr.LAMBDA_GRID):
+        run_cfg = replace(cfg, lam=lam, transe=True)
+        model = tr.model_from_checkpoint(run_cfg, dataset, tr.train(run_cfg, dataset).best)
+        tokens = [t for t, _ in tr.decode_split(model, dataset, "test", max_len=cfg.max_len)]
+        bleu = metrics.bleu4(tokens, [list(ex.raw_question_words) for ex in examples])
+        coverage = metrics.answer_coverage(tokens, [set(ex.answer_type_words) for ex in examples])
+        assert row == f"true\t{lam}\t{bleu:.4f}\t{coverage:.4f}"
+    assert len(calls) == 6
+
+
 def test_train_without_validation_saves_the_last_epoch(tmp_path, no_valid_dir, capsys):
     from kbqgen import trainer as tr
 

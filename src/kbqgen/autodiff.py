@@ -15,10 +15,11 @@ one recorded op with a hand-written backward over a plain-numpy kernel.
 ``attention_block`` and ``ffn_block`` here record LayerNorm(x +
 Dropout(Sublayer(x))) over the kernels ``attention_forward`` and
 ``ffn_forward``, which incremental decoding calls directly; one additive
-score bias masks the encoder's segments and the decoder's future rows. Ops
-defined outside this module, the encoder's gated fusion and the decoder's
-copy head, use ``record``, ``accum``, ``softmax`` and ``softmax_backward``
-the same way.
+score bias masks the encoder's segments, the decoder's future rows and the
+other decoding hypotheses' cached rows (``segment_bias``). Ops defined
+outside this module, the encoder's gated fusion and the decoder's copy
+head, use ``record``, ``accum``, ``softmax`` and ``softmax_backward`` the
+same way.
 
 Graphs are single-use: an optimizer may mutate Parameter values between
 passes, never during one. Recording is skipped entirely inside ``no_grad``.
@@ -332,6 +333,12 @@ def _add_norm_backward(g, w, mask, xhat, s):
 
 def _drop_mask(drop, x):
     return None if drop is None else drop(x.data.shape).astype(x.data.dtype, copy=False)
+
+
+def segment_bias(row_segments, col_segments, dtype):
+    """Additive [n,m] score mask: 0 where the row and column segments match, -inf elsewhere."""
+    same = np.asarray(row_segments)[:, None] == np.asarray(col_segments)[None, :]
+    return np.where(same, 0.0, -np.inf).astype(dtype, copy=False)
 
 
 def attention_forward(x, K, V, w, n_heads, bias=None, mask=None):

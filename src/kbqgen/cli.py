@@ -194,6 +194,8 @@ def _seeds(text):
 
 
 def cmd_ablate(args):
+    if args.seeds is not None and args.grid != "components":
+        raise tr.ConfigError("--seeds applies only to the components grid")
     cfg = _config_from_args(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -10,12 +10,13 @@ token.
 The copy head is four recorded ops (mode_switch, vocab_distribution,
 context_copy_distribution, mix_distributions), each a plain-numpy forward
 kernel plus a hand-written backward. The incremental Generator calls the
-same kernels, and the transformer sublayer kernels, on one new row per step.
+same kernels, and the transformer sublayer kernels, on one new row per live
+hypothesis per step. Greedy and beam decoding are one search over its rows;
+greedy is width 1.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -295,16 +296,15 @@ def _feedback_id(ext_id, vocab_size):
 
 
 class Generator:
-    """Incremental decoding state: cached keys/values, one step at a time.
+    """Incremental decoding state for one example: one row per live hypothesis.
 
-    Each step runs one new row through the same kernels that training
-    records: the sublayers (ad.attention_forward, ad.ffn_forward) and the
-    copy head (mode_forward, vocab_forward, context_copy_forward,
-    mix_forward). Causal self-attention reads the per-layer K/V cache, fact
-    attention the fact K/V and context copy the copy keys, all projected
-    once per example. Used for greedy and beam search, where re-running the
-    whole prefix every step would be cubic in length. Tests pin its outputs
-    to the recorded-graph path.
+    Each step runs one new row per hypothesis through the kernels training
+    records: ad.attention_forward, ad.ffn_forward and the copy head's
+    mode/vocab/context-copy/mix kernels. Each layer caches self-attention K
+    and V as [rows, steps, d], read flattened under a segment bias so that a
+    row sees only its own steps; fact K/V and the copy keys are projected
+    once and shared. It starts with one row; ``keep`` gathers rows, which is
+    how a beam search reorders them. Tests pin it to the recorded graph.
     """
 
     def __init__(self, model, example):
@@ -319,62 +319,57 @@ class Generator:
             (h_f @ layer.fact_attn.wk.value.data, h_f @ layer.fact_attn.wv.value.data)
             for layer in params.layers
         ]
-        empty = np.empty((0, params.d), dtype=h_f.dtype)
-        # arrays are replaced, never written in place, so clones may share them
+        empty = np.empty((1, 0, params.d), dtype=h_f.dtype)
         self.self_cache = [(empty, empty) for _ in params.layers]
         self.t = 0
         self.mode_offsets = mode_mask(model.use_kb_copy, model.use_ctx_copy)
 
-    def clone(self):
-        other = copy.copy(self)
-        other.self_cache = list(self.self_cache)
-        return other
+    def keep(self, rows):
+        """Continue with the given rows: new row i carries on from old row rows[i]."""
+        self.self_cache = [(ks[rows], vs[rows]) for ks, vs in self.self_cache]
 
-    def step(self, token_id):
-        """Feed one input token; returns (dist, modes, p_vocab, p_ctx) rows."""
+    def step(self, token_ids):
+        """Feed one input id per row; returns (dist, modes, p_vocab, p_ctx) of [rows, ·]."""
+        rows = len(self.self_cache[0][0])
+        if len(token_ids) != rows:
+            raise ad.ContractError(f"step needs one id per row: {rows} rows, {len(token_ids)} ids")
         params = self.model.decoder
-        emb = params.word_emb.value.data[token_id : token_id + 1]
+        emb = params.word_emb.value.data.take(token_ids, axis=0)
         x = emb + params.pos_table[self.t]
+        self.t += 1
+        bias = None  # a single row sees every cached step
+        if rows > 1:
+            bias = ad.segment_bias(np.arange(rows), np.repeat(np.arange(rows), self.t), x.dtype)
         for li, layer in enumerate(params.layers):
             attn = layer.self_attn
             ks, vs = self.self_cache[li]
-            ks = np.concatenate([ks, x @ attn.wk.value.data])
-            vs = np.concatenate([vs, x @ attn.wv.value.data])
+            ks = np.concatenate([ks, (x @ attn.wk.value.data)[:, None]], axis=1)
+            vs = np.concatenate([vs, (x @ attn.wv.value.data)[:, None]], axis=1)
             self.self_cache[li] = (ks, vs)
-            # the new row is the last position, so it sees every cached row
-            x, _ = ad.attention_forward(x, ks, vs, attn, params.n_heads)
+            x, _ = ad.attention_forward(x, ks.reshape(-1, ks.shape[2]), vs.reshape(-1, ks.shape[2]),
+                                        attn, params.n_heads, bias)
             x, _ = ad.attention_forward(x, *self.fact_kv[li], layer.fact_attn, params.n_heads)
             x, _ = ad.ffn_forward(x, layer.ffn)
-        self.t += 1
 
         src = self.copy_source
         modes, _ = mode_forward(x, emb, params, self.mode_offsets)
         p_vocab = vocab_forward(x, params)
         p_ctx, _ = context_copy_forward(x, self.ctx_keys, src)
-        dist = mix_forward(modes, p_vocab, p_ctx, src)
-        return dist[0], modes[0], p_vocab[0], p_ctx[0]
+        return mix_forward(modes, p_vocab, p_ctx, src), modes, p_vocab, p_ctx
 
 
 def greedy_decode(model, example, max_len=32):
-    """Argmax decoding; ties break toward the lowest extended index.
+    """Greedy decoding: the search with one live hypothesis.
 
     Returns (tokens, mode_chars) without BOS/EOS; mode chars are g/k/c for
     the mixture component contributing most to each emitted token.
     """
-    gen = Generator(model, example)
-    src = gen.copy_source
-    token_id = BOS
-    tokens = []
-    mode_chars = []
-    for _ in range(max_len):
-        dist, modes, p_vocab, p_ctx = gen.step(token_id)
-        ext_id = int(np.argmax(dist))
-        if ext_id == EOS:
-            break
-        tokens.append(src.extended_token(ext_id))
-        mode_chars.append(_chosen_mode(ext_id, modes, p_vocab, p_ctx, src))
-        token_id = _feedback_id(ext_id, src.vocab_size)
-    return tokens, "".join(mode_chars)
+    return _search(model, example, 1, max_len)
+
+
+def beam_decode(model, example, beam_width=3, max_len=32):
+    """Length-normalized beam search; returns (tokens, mode_chars) as greedy_decode does."""
+    return _search(model, example, beam_width, max_len)
 
 
 def _chosen_mode(ext_id, mode_row, vocab_row, ctx_row, copy_source):
@@ -383,50 +378,50 @@ def _chosen_mode(ext_id, mode_row, vocab_row, ctx_row, copy_source):
     tok = copy_source.extended_token(ext_id)
     g = copy_source._group_of.get(tok)
     ctx = mode_row[2] * ctx_row[g] if g is not None else 0.0
-    return "gkc"[int(np.argmax([gen, kb, ctx]))]
+    return "gkc"[[gen, kb, ctx].index(max(gen, kb, ctx))]  # the first largest, like np.argmax
 
 
-def beam_decode(model, example, beam_width=3, max_len=32):
-    """Length-normalized beam search; width 1 reproduces greedy exactly."""
-    root = Generator(model, example)
-    src = root.copy_source
-    beams = [(root, BOS, [], [], 0.0)]  # generator, next input, tokens, modes, logprob
-    finished = []
+def _search(model, example, width, max_len):
+    """Length-normalized beam search over one Generator, one row per live beam.
+
+    Each row proposes its top width+1 tokens (a stable sort: ties go to the
+    lower ext_id). All proposals rank by (-log probability, ext_id) and the
+    first ``width`` that are not EOS live on; an EOS ranked before them
+    finishes its beam, scored per token with EOS counted. After max_len
+    steps the live beams finish too. Width 1 is greedy decoding: it ends at
+    the first EOS that ranks first, which outscores the runner-up.
+    """
+    if width < 1:
+        raise ad.ContractError(f"beam width must be at least 1, got {width}")
+    gen = Generator(model, example)
+    src = gen.copy_source
+    inputs, beams, finished = [BOS], [([], "", 0.0)], []  # beam: tokens, mode chars, logprob
     for _ in range(max_len):
-        candidates = []
-        for gen, token_id, tokens, mode_chars, logprob in beams:
-            dist, modes, p_vocab, p_ctx = gen.step(token_id)
-            logs = np.log(np.maximum(dist, 1e-12))
-            top = np.argsort(-logs, kind="stable")[: beam_width + 1]
-            for ext_id in top:
-                ext_id = int(ext_id)
-                candidates.append(
-                    (logprob + logs[ext_id], ext_id, gen, tokens, mode_chars,
-                     modes, p_vocab, p_ctx)
-                )
+        dist, modes, p_vocab, p_ctx = gen.step(inputs)
+        neg = -np.log(np.maximum(dist, 1e-12))
+        k = min(width + 1, neg.shape[1])
+        kth = np.partition(neg, k - 1, axis=1)[:, k - 1 : k]
+        # stable-sort only the ids at or above each row's k-th largest log
+        top = np.where(neg <= kth, neg, np.inf).argsort(axis=1, kind="stable")[:, :k].tolist()
+        candidates = [(beams[r][2] - neg[r, e], e, r) for r, row in enumerate(top) for e in row]
         candidates.sort(key=lambda c: (-c[0], c[1]))
-        beams = []
-        for score, ext_id, gen, tokens, mode_chars, mode_row, vocab_row, ctx_row in candidates:
-            if len(beams) >= beam_width:
+        kept, inputs, next_beams = [], [], []
+        for score, ext_id, r in candidates:
+            if len(kept) == width:
                 break
+            tokens, mode_chars, _ = beams[r]
             if ext_id == EOS:
                 finished.append((score / (len(tokens) + 1), tokens, mode_chars))
                 continue
-            beams.append(
-                (
-                    gen.clone(),
-                    _feedback_id(ext_id, src.vocab_size),
-                    tokens + [src.extended_token(ext_id)],
-                    mode_chars + [_chosen_mode(ext_id, mode_row, vocab_row, ctx_row, src)],
-                    score,
-                )
-            )
-        if not beams:
-            break
-    for _gen, _next, tokens, mode_chars, logprob in beams:
-        finished.append((logprob / max(len(tokens), 1), tokens, mode_chars))
-    if not finished:
-        return [], ""
-    finished.sort(key=lambda f: -f[0])
-    _, tokens, mode_chars = finished[0]
-    return tokens, "".join(mode_chars)
+            mode = _chosen_mode(ext_id, modes[r], p_vocab[r], p_ctx[r], src)
+            kept.append(r)
+            inputs.append(_feedback_id(ext_id, src.vocab_size))
+            next_beams.append((tokens + [src.extended_token(ext_id)], mode_chars + mode, score))
+        if kept != list(range(len(beams))):
+            gen.keep(kept)
+        beams = next_beams
+        if width == 1 and finished:
+            break  # greedy decoding ends at its first EOS
+    finished += [(logprob / max(len(tokens), 1), tokens, chars) for tokens, chars, logprob in beams]
+    _, tokens, mode_chars = max(finished, key=lambda f: f[0])
+    return tokens, mode_chars

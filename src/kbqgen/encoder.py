@@ -7,7 +7,7 @@ attentive summary of each context from its atom's KB embedding is then fused
 with that embedding through a gated unit, and the three augmented rows form
 the 3 x d fact representation the decoder attends over. The fusion is one
 recorded op, ``fuse``, over the plain-numpy kernel ``fusion_forward``; it
-and the encoder take their masks from ``segment_bias``.
+and the encoder take their masks from ``ad.segment_bias``.
 """
 
 from __future__ import annotations
@@ -53,12 +53,6 @@ class AugmentedFact:
     context_rows: ad.Tensor  # [|s|+|p|+|o|, d] in copy-source order
 
 
-def segment_bias(row_segments, col_segments, dtype):
-    """Additive [n,m] score mask: 0 where the row and column segments match, -inf elsewhere."""
-    same = np.asarray(row_segments)[:, None] == np.asarray(col_segments)[None, :]
-    return np.where(same, 0.0, -np.inf).astype(dtype, copy=False)
-
-
 def encode_contexts(token_ids, segment_ids, params, drop=None):
     """Encode stacked contexts in one pass: token+segment embeddings through
     L self-attention layers with residual layer norms around both sub-layers.
@@ -76,7 +70,7 @@ def encode_contexts(token_ids, segment_ids, params, drop=None):
         ad.gather(params.word_emb.value, list(token_ids)),
         ad.gather(params.seg_emb.value, segment_ids),
     )
-    bias = segment_bias(segment_ids, segment_ids, x.data.dtype)
+    bias = ad.segment_bias(segment_ids, segment_ids, x.data.dtype)
     sublayer_drop = None
     if drop is not None:
         sizes = [len(list(run)) for _, run in itertools.groupby(segment_ids)]
@@ -112,7 +106,7 @@ def fusion_forward(h, rows, segment_ids, fusion):
     scores = (h @ rows.T) * scale_factor
     if np.isnan(scores).any():
         raise ad.NumericError("fusion attention over NaN scores")
-    attn = ad.softmax(scores + segment_bias(np.arange(len(h)), segment_ids, scores.dtype))
+    attn = ad.softmax(scores + ad.segment_bias(np.arange(len(h)), segment_ids, scores.dtype))
     cat = np.concatenate([attn @ rows, h], axis=1)
     f = np.tanh(cat @ fusion.w_f.value.data.T)
     g = _sigmoid(cat @ fusion.w_g.value.data.T)

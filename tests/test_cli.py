@@ -328,6 +328,14 @@ def test_bad_numeric_argument_is_exit_2(tmp_path, data_dir, trained, capsys,
     assert capsys.readouterr().err == f"error: {flag} {problem}\n"
 
 
+def test_seeds_with_lambda_transe_grid_is_exit_2(tmp_path, data_dir, capsys):
+    # the lambda-transe grid runs one seed, so --seeds would be ignored
+    assert run("ablate", "--grid", "lambda-transe", "--seeds", "5,6", "--data-dir", data_dir,
+               "--out-dir", tmp_path / "abl", "--set", "epochs=1") == 2
+    assert capsys.readouterr().err == "error: --seeds applies only to the components grid\n"
+    assert not (tmp_path / "abl").exists()
+
+
 def _edit_second_row(column, value):
     def edit(data):
         lines = data.split(b"\n")

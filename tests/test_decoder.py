@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -452,11 +454,80 @@ def test_incremental_generator_matches_recorded_graph(layers, use_kb_copy, use_c
         ).data
         gen = dec.Generator(m, example)
         for t, token_id in enumerate(input_ids):
-            dist, modes, vocab_row, ctx_row = gen.step(token_id)
+            dist, modes, vocab_row, ctx_row = (out[0] for out in gen.step([token_id]))
             np.testing.assert_allclose(dist, result.distributions.data[t], **tol)
             np.testing.assert_allclose(modes, result.modes.data[t], **tol)
             np.testing.assert_allclose(vocab_row, p_vocab[t], **tol)
             np.testing.assert_allclose(ctx_row, p_ctx[t], **tol)
+
+
+def ids_of(vocab, words):
+    return [BOS] + [vocab.id(w) for w in words]
+
+
+# three different prefixes of 11 tokens each, BOS included
+ROW_PREFIXES = (
+    ("which", "city", "is", "located", "in", "what", "old", "city", "of", "?"),
+    ("what", "old", "city", "is", "in", "which", "city", "?", "of", "old"),
+    ("rarity", "in", "?", "which", "is", "old", "located", "city", "what", "in"),
+)
+
+
+def steps_alone(m, example, ids):
+    """Each step's (dist, modes, p_vocab, p_ctx) rows for ids fed to a one-row Generator."""
+    gen = dec.Generator(m, example)
+    return [tuple(out[0] for out in gen.step([token_id])) for token_id in ids]
+
+
+def assert_rows_match(got, want):
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+
+
+def test_generator_rows_match_each_prefix_stepped_alone():
+    m = make_model(seed=4, layers=2)
+    example = make_example(m.vocab)
+    prefixes = [ids_of(m.vocab, words) for words in ROW_PREFIXES]
+    alone = [steps_alone(m, example, ids) for ids in prefixes]
+    gen = dec.Generator(m, example)
+    gen.step([BOS])
+    gen.keep([0, 0, 0])
+    for t in range(1, len(prefixes[0])):
+        outs = gen.step([ids[t] for ids in prefixes])
+        assert outs[0].shape == (3, alone[0][t][0].shape[0])
+        for r in range(3):
+            assert_rows_match([out[r] for out in outs], alone[r][t])
+
+
+def test_keep_continues_exactly_as_the_kept_rows():
+    m = make_model(seed=5, layers=2)
+    example = make_example(m.vocab)
+    prefixes = [ids_of(m.vocab, words) for words in ROW_PREFIXES]
+    split = 6
+    gen = dec.Generator(m, example)
+    gen.step([BOS])
+    gen.keep([0, 0, 0])
+    for t in range(1, split):
+        gen.step([ids[t] for ids in prefixes])
+    before = gen.self_cache
+    rows = [2, 0, 0]
+    gen.keep(rows)
+    for (ks, vs), (ks0, vs0) in zip(gen.self_cache, before):
+        assert np.array_equal(ks, ks0[rows]) and np.array_equal(vs, vs0[rows])
+    # row i carries on from old row rows[i] with row i's continuation
+    continued = [prefixes[r][:split] + prefixes[i][split:] for i, r in enumerate(rows)]
+    alone = [steps_alone(m, example, ids) for ids in continued]
+    for t in range(split, len(prefixes[0])):
+        outs = gen.step([ids[t] for ids in continued])
+        for r in range(3):
+            assert_rows_match([out[r] for out in outs], alone[r][t])
+
+
+def test_step_needs_one_token_per_row():
+    m = make_model(seed=6)
+    gen = dec.Generator(m, make_example(m.vocab))
+    with pytest.raises(ad.ContractError):
+        gen.step([BOS, BOS])
 
 
 def test_greedy_decode_deterministic_and_bounded():
@@ -469,16 +540,16 @@ def test_greedy_decode_deterministic_and_bounded():
     assert len(modes1) == len(tokens1)
 
 
-def test_beam_width_one_equals_greedy():
-    # 100 random instances: vary parameters and context composition
+def random_instances(n=100):
+    """n (model, example) pairs: vary parameters and context composition."""
     words = ["which", "city", "is", "located", "in", "?", "what", "of", "old",
              "rarity", "oddity", "river", "part"]
     rng = np.random.default_rng(7)
-    for trial in range(100):
+    for trial in range(n):
         m = make_model(seed=1000 + trial)
         picks = rng.choice(words, size=5, replace=True).tolist()
         example = make_example(m.vocab, question=("which", "city", "?"))
-        example = Example(
+        yield m, Example(
             fact=example.fact,
             contexts=make_contexts(m.vocab, words=tuple(picks)),
             question=example.question,
@@ -487,10 +558,152 @@ def test_beam_width_one_equals_greedy():
             answer_type_words=tuple(sorted(set(picks[4:]))),
             subject_span=None,
         )
-        greedy_tokens, greedy_modes = dec.greedy_decode(m, example, max_len=8)
-        beam_tokens, beam_modes = dec.beam_decode(m, example, beam_width=1, max_len=8)
-        assert beam_tokens == greedy_tokens
-        assert beam_modes == greedy_modes
+
+
+def argmax_oracle(m, example, max_len):
+    """Greedy decoding as a plain argmax loop over a one-row Generator."""
+    gen = dec.Generator(m, example)
+    src = gen.copy_source
+    token_id, tokens, mode_chars = BOS, [], []
+    for _ in range(max_len):
+        dist, modes, p_vocab, p_ctx = (out[0] for out in gen.step([token_id]))
+        ext_id = int(np.argmax(dist))
+        if ext_id == EOS:
+            break
+        tokens.append(src.extended_token(ext_id))
+        mode_chars.append(dec._chosen_mode(ext_id, modes, p_vocab, p_ctx, src))
+        token_id = dec._feedback_id(ext_id, src.vocab_size)
+    return tokens, "".join(mode_chars)
+
+
+def clone(gen):
+    other = copy.copy(gen)
+    other.self_cache = list(gen.self_cache)
+    return other
+
+
+def beam_oracle(m, example, beam_width, max_len):
+    """Beam search with one one-row Generator per beam, cloned on every pick."""
+    root = dec.Generator(m, example)
+    src = root.copy_source
+    beams = [(root, BOS, [], [], 0.0)]  # generator, next input, tokens, modes, logprob
+    finished = []
+    for _ in range(max_len):
+        candidates = []
+        for gen, token_id, tokens, mode_chars, logprob in beams:
+            dist, modes, p_vocab, p_ctx = (out[0] for out in gen.step([token_id]))
+            logs = np.log(np.maximum(dist, 1e-12))
+            for ext_id in np.argsort(-logs, kind="stable")[: beam_width + 1]:
+                ext_id = int(ext_id)
+                candidates.append((logprob + logs[ext_id], ext_id, gen, tokens, mode_chars,
+                                   modes, p_vocab, p_ctx))
+        candidates.sort(key=lambda c: (-c[0], c[1]))
+        beams = []
+        for score, ext_id, gen, tokens, mode_chars, mode_row, vocab_row, ctx_row in candidates:
+            if len(beams) >= beam_width:
+                break
+            if ext_id == EOS:
+                finished.append((score / (len(tokens) + 1), tokens, mode_chars))
+                continue
+            mode = dec._chosen_mode(ext_id, mode_row, vocab_row, ctx_row, src)
+            beams.append((clone(gen), dec._feedback_id(ext_id, src.vocab_size),
+                          tokens + [src.extended_token(ext_id)], mode_chars + [mode], score))
+        if not beams:
+            break
+    for _gen, _next, tokens, mode_chars, logprob in beams:
+        finished.append((logprob / max(len(tokens), 1), tokens, mode_chars))
+    finished.sort(key=lambda f: -f[0])
+    _, tokens, mode_chars = finished[0]
+    return tokens, "".join(mode_chars)
+
+
+def test_greedy_decode_equals_argmax_oracle():
+    for m, example in random_instances():
+        assert dec.greedy_decode(m, example, max_len=8) == argmax_oracle(m, example, 8)
+
+
+@pytest.mark.parametrize("beam_width", [2, 3, 5])
+def test_beam_decode_equals_clone_per_beam_oracle(beam_width):
+    for m, example in random_instances():
+        want = beam_oracle(m, example, beam_width, 8)
+        assert dec.beam_decode(m, example, beam_width=beam_width, max_len=8) == want
+
+
+class HistoryGenerator:
+    """A Generator stand-in whose rows' distributions hash each row's whole input history.
+
+    The toy models' distributions barely depend on earlier steps, so a beam
+    continued from another beam's cache decodes the same tokens with them;
+    here it decodes different ones.
+    """
+
+    def __init__(self, model, example):
+        self.copy_source = dec.CopySource(example.contexts, model.vocab)
+        self.self_cache = [()]  # the input history of each row
+
+    def keep(self, rows):
+        self.self_cache = [self.self_cache[r] for r in rows]
+
+    def row_dist(self, history):
+        return np.random.default_rng(history).dirichlet(np.full(self.copy_source.n_extended, 0.3))
+
+    def step(self, token_ids):
+        self.self_cache = [h + (t,) for h, t in zip(self.self_cache, token_ids)]
+        src, rows = self.copy_source, len(token_ids)
+        dist = np.stack([self.row_dist(h) for h in self.self_cache])
+        return (dist, np.full((rows, 3), 1 / 3), np.full((rows, src.vocab_size), 0.1),
+                np.full((rows, len(src.groups)), 0.1))
+
+
+class EarlyEosGenerator(HistoryGenerator):
+    """EOS ranks first at the first step (0.5, over "city" at 0.4); after "city",
+    "city" again and then EOS are near certain, so carrying on scores higher."""
+
+    def row_dist(self, history):
+        n, city = self.copy_source.n_extended, self.copy_source.extended_id("city")
+        likely = {1: {EOS: 0.5, city: 0.4}, 2: {city: 0.99}}.get(len(history), {EOS: 0.99})
+        p = np.full(n, (1 - sum(likely.values())) / (n - len(likely)))
+        for ext_id, prob in likely.items():
+            p[ext_id] = prob
+        return p
+
+
+def test_greedy_ends_at_its_first_eos_and_wider_beams_carry_on(monkeypatch):
+    monkeypatch.setattr(dec, "Generator", EarlyEosGenerator)
+    m = make_model(seed=25)
+    example = make_example(m.vocab)
+    assert dec.greedy_decode(m, example, max_len=8) == argmax_oracle(m, example, 8) == ([], "")
+    # wider beams carry on past that EOS and find the better-scoring question;
+    # a width-1 search that did the same would not be greedy
+    assert dec.beam_decode(m, example, beam_width=2, max_len=8) == (["city", "city"], "gg")
+    assert beam_oracle(m, example, 2, 8) == (["city", "city"], "gg")
+
+
+@pytest.mark.parametrize("beam_width", [1, 2, 3, 5])
+def test_search_feeds_each_beam_its_own_history(monkeypatch, beam_width):
+    monkeypatch.setattr(dec, "Generator", HistoryGenerator)
+    for m, example in random_instances(20):
+        want = (argmax_oracle(m, example, 12) if beam_width == 1
+                else beam_oracle(m, example, beam_width, 12))
+        assert dec.beam_decode(m, example, beam_width=beam_width, max_len=12) == want
+
+
+def test_greedy_decode_does_not_go_through_beam_decode(monkeypatch):
+    # perfbench labels Generator.step calls by the public function around them
+    def refuse(*args, **kwargs):
+        raise AssertionError("greedy_decode called beam_decode")
+
+    monkeypatch.setattr(dec, "beam_decode", refuse)
+    m = make_model(seed=23)
+    example = make_example(m.vocab)
+    assert dec.greedy_decode(m, example, max_len=8) == argmax_oracle(m, example, 8)
+
+
+@pytest.mark.parametrize("beam_width", [0, -2])
+def test_beam_width_below_one_is_refused(beam_width):
+    m = make_model(seed=24)
+    with pytest.raises(ad.ContractError):
+        dec.beam_decode(m, make_example(m.vocab), beam_width=beam_width)
 
 
 def test_oov_context_token_can_be_emitted():

@@ -1,25 +1,28 @@
 """Small dense-tensor autodiff engine for the question generation model.
 
-All tensors are 2-D row-major arrays (scalars are [1,1], vectors [1,n]).
-float64 is the default and the only mode in which finite differences (and
-so ``grad_check``) are trustworthy; float32 is offered as a training-speed
+All tensors on the tape are 2-D row-major arrays (scalars are [1,1], vectors
+[1,n]); a batch stacks its sequences' rows back to back. float64 is the
+default and the only mode in which finite differences (and so
+``grad_check``) are trustworthy; float32 is offered as a training-speed
 option and the test suite trains in it once. Every operation records its
 inputs and a backward closure on its output, so a forward pass rebuilds the
 computation record from scratch (define-by-run) and ``backward`` replays it
 once in reverse topological order.
 
 The generic primitives are the few the model still composes (add, scale,
-gather, sum_all, neg_log_prob), plus mul for fixed-cotangent probes; add
-and mul take operands of equal shape, with no broadcasting. Every layer is
-one recorded op with a hand-written backward over a plain-numpy kernel.
-``attention_block`` and ``ffn_block`` here record LayerNorm(x +
-Dropout(Sublayer(x))) over the kernels ``attention_forward`` and
-``ffn_forward``, which incremental decoding calls directly; one additive
-score bias masks the encoder's segments, the decoder's future rows and the
-other decoding hypotheses' cached rows (``segment_bias``). Ops defined
-outside this module, the encoder's gated fusion and the decoder's copy
-head, use ``record``, ``accum``, ``softmax`` and ``softmax_backward`` the
-same way.
+gather, sum_all, segment_sum, neg_log_prob), plus mul for fixed-cotangent
+probes; add and mul take operands of equal shape, with no broadcasting.
+Every layer is one recorded op with a hand-written backward over a
+plain-numpy kernel. ``attention_block`` and ``ffn_block`` here record
+LayerNorm(x + Dropout(Sublayer(x))) over the kernels ``attention_forward``
+and ``ffn_forward``, which incremental decoding calls directly. Attention
+runs over sequences: a ``Layout`` names each sequence's query and key rows
+among the packed ones, the kernel gathers them into padded [S, T] blocks
+(``Sequences``) for batched matmuls, and one additive [S, Tq, Tk] bias
+masks pad keys and, in the decoder, later rows. Ops defined outside this
+module, the encoder's gated fusion and the decoder's copy head, use
+``record``, ``accum``, ``softmax``, ``softmax_backward`` and ``Sequences``
+the same way.
 
 Graphs are single-use: an optimizer may mutate Parameter values between
 passes, never during one. Recording is skipped entirely inside ``no_grad``.
@@ -163,6 +166,8 @@ def backward(loss):
 
     The reverse sweep walks the recorded operations once, in reverse
     topological order; tensors not on a path to ``loss`` keep their grads.
+    Each recorded op drops its gradient, closure and parents once swept, so
+    a batch's saved activations are freed as the sweep goes.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -171,8 +176,10 @@ def backward(loss):
     order = _toposort(loss)
     loss.grad = np.ones_like(loss.data)
     for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+        if node._backward is not None:
+            if node.grad is not None:
+                node._backward(node.grad)
+            node.grad, node._backward, node._parents = None, None, ()
 
 
 def _check_same_shape(a, b, op):
@@ -238,33 +245,45 @@ def sum_all(a):
     return record(a.data.sum().reshape(1, 1), (a,), bwd)
 
 
+def segment_sum(a, segments, n_segments):
+    """Sum the rows of a by segment id; [m,k] -> [n_segments,k], an empty segment sums to 0."""
+    segments = np.asarray(segments, dtype=np.int64)
+    out = np.zeros((n_segments, a.data.shape[1]), dtype=a.data.dtype)
+    np.add.at(out, segments, a.data)
+
+    def bwd(g):
+        accum(a, g[segments])
+
+    return record(out, (a,), bwd)
+
+
 def softmax(x):
-    """Row-wise softmax of an array with max-subtraction; rows are nonnegative and sum to 1."""
-    e = np.exp(x - x.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    """Softmax over the last axis with max-subtraction; rows are nonnegative and sum to 1."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax_backward(p, g):
     """Cotangent of the logits of p = softmax(logits), given the cotangent g of p."""
-    return p * (g - (g * p).sum(axis=1, keepdims=True))
+    return p * (g - (g * p).sum(axis=-1, keepdims=True))
 
 
-def neg_log_prob(p, cols, floor=1e-12):
-    """Per-row -log p[r, cols[r]], clamped below at ``floor``; [m,n] -> [m,1].
+def neg_log_prob(p, cols, floor=1e-12, rows=None):
+    """-log p[rows[i], cols[i]] per pick, clamped below at ``floor``; [m,n] -> [len(cols),1].
 
-    In the clamp region the gradient is zero (the clamped loss is constant
-    there), which keeps early training finite without exploding steps.
+    ``rows`` defaults to every row in order, one pick per row. In the clamp
+    region the gradient is zero (the clamped loss is constant there), which
+    keeps early training finite without exploding steps.
     """
     cols = np.asarray(cols, dtype=np.int64)
-    m = p.data.shape[0]
-    rows = np.arange(m)
+    rows = np.arange(p.data.shape[0]) if rows is None else np.asarray(rows, dtype=np.int64)
     vals = p.data[rows, cols]
-    out_data = -np.log(np.maximum(vals, floor)).reshape(m, 1)
+    out_data = -np.log(np.maximum(vals, floor)).reshape(-1, 1)
 
     def bwd(g):
         gf = np.zeros_like(p.data)
         live = vals > floor
-        gf[rows[live], cols[live]] = -g[live, 0] / vals[live]
+        np.add.at(gf, (rows[live], cols[live]), -g[live, 0] / vals[live])
         accum(p, gf)
 
     return record(out_data, (p,), bwd)
@@ -277,7 +296,8 @@ def neg_log_prob(p, cols, floor=1e-12):
 # Each sublayer kind has one plain-numpy forward kernel returning
 # (out, saved) and one recorded op that wraps it with a hand-written
 # backward. Training records the ops; incremental decoding calls the
-# kernels directly on one new row, so both run the same arithmetic.
+# kernels directly on one new row per hypothesis, so both run the same
+# arithmetic.
 
 
 @dataclass
@@ -335,72 +355,137 @@ def _drop_mask(drop, x):
     return None if drop is None else drop(x.data.shape).astype(x.data.dtype, copy=False)
 
 
-def segment_bias(row_segments, col_segments, dtype):
-    """Additive [n,m] score mask: 0 where the row and column segments match, -inf elsewhere."""
-    same = np.asarray(row_segments)[:, None] == np.asarray(col_segments)[None, :]
-    return np.where(same, 0.0, -np.inf).astype(dtype, copy=False)
+class Sequences:
+    """Rows of S sequences packed back to back, and their padded [S, T] layout.
+
+    ``pad`` moves the packed rows into [S, T, k] blocks with zero rows after
+    each sequence's end; ``unpad`` drops those rows again. With equal
+    lengths both are reshapes. ``width`` may exceed the longest sequence.
+    """
+
+    __slots__ = ("count", "width", "valid")
+
+    def __init__(self, lengths, width=None):
+        lengths = [int(n) for n in lengths]
+        self.count = len(lengths)
+        self.width = max(lengths) if width is None else width
+        self.valid = None  # [S, T] bool, True on real rows; None when nothing is padded
+        if min(lengths) != self.width:
+            self.valid = np.arange(self.width) < np.array(lengths)[:, None]
+
+    def pad(self, rows):
+        if self.valid is None:
+            return rows.reshape(self.count, self.width, rows.shape[-1])
+        out = np.zeros(self.valid.shape + rows.shape[-1:], dtype=rows.dtype)
+        out[self.valid] = rows
+        return out
+
+    def unpad(self, padded):
+        if self.valid is None:
+            return padded.reshape(-1, padded.shape[-1])
+        return padded[self.valid]
 
 
-def attention_forward(x, K, V, w, n_heads, bias=None, mask=None):
+@dataclass
+class Layout:
+    """Which packed rows attend to which: sequence s's query rows see only its key rows.
+
+    ``bias`` [S, Tq, Tk] is added to every head's scores: -inf on pad keys
+    and, causally, on keys after the query's own position; a pad query row
+    gets zeros, so no softmax row is all -inf (its output is dropped).
+    A side that is None is one sequence of all its rows.
+    """
+
+    queries: Sequences | None
+    keys: Sequences | None
+    bias: np.ndarray | None
+
+
+WHOLE = Layout(None, None, None)  # one sequence of all rows on each side
+
+
+def layout(q_lengths, k_lengths=None, causal=False):
+    """The Layout of sequences with the given query and key row counts (keys default to queries)."""
+    queries = Sequences(q_lengths)
+    keys = queries if k_lengths is None else Sequences(k_lengths)
+    masked = np.zeros((queries.count, queries.width, keys.width), dtype=bool)
+    if keys.valid is not None:
+        masked |= ~keys.valid[:, None, :]
+    if causal:
+        masked |= np.triu(np.ones((queries.width, keys.width), dtype=bool), k=1)
+    if queries.valid is not None:
+        masked &= queries.valid[:, :, None]
+    bias = np.where(masked, -np.inf, 0.0) if masked.any() else None
+    return Layout(queries, keys, bias)
+
+
+def _split_heads(rows, seqs, n_heads):
+    """Packed [n, d] rows -> padded [S, heads, T, d/heads]; seqs None is one sequence."""
+    padded = rows[None] if seqs is None else seqs.pad(rows)
+    s, t, d = padded.shape
+    return padded.reshape(s, t, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+
+
+def _merge_heads(blocks, seqs):
+    """Padded [S, heads, T, dh] -> packed [n, heads*dh], pad rows dropped."""
+    s, h, t, dh = blocks.shape
+    merged = blocks.transpose(0, 2, 1, 3).reshape(s, t, h * dh)
+    return merged[0] if seqs is None else seqs.unpad(merged)
+
+
+def attention_forward(x, K, V, w, n_heads, layout=None, mask=None):
     """Attention sublayer on arrays: LayerNorm(x + Dropout(heads(x, K, V) W_o)).
 
     x [n,d] holds the query rows; K and V [m,d] are keys and values already
-    projected by w.wk and w.wv. ``bias`` [n,m] is added to every head's
-    scores before the softmax: a -inf entry gives that key row zero weight
-    for that query row, and zero gradient. The rows a query may see thus
-    decide its output up to rounding. ``mask`` multiplies the output
-    projection (dropout).
+    projected by w.wk and w.wv. ``layout`` splits both into sequences; each
+    sequence's queries attend only to its own keys, under its bias, in one
+    batched matmul over padded blocks. A -inf bias entry gives that key zero
+    weight and zero gradient, so the rows a query may see decide its output
+    up to rounding. ``mask`` multiplies the output projection (dropout).
     """
-    n, d = x.shape
-    dh = d // n_heads
+    d = x.shape[1]
     scale_factor = 1.0 / math.sqrt(d / n_heads)
+    layout = layout or WHOLE
     Q = x @ w.wq.value.data
-    heads = np.empty((n, d), dtype=Q.dtype)
-    attn = []
-    for j in range(n_heads):
-        sl = slice(j * dh, (j + 1) * dh)
-        s = (Q[:, sl] @ K[:, sl].T) * scale_factor
-        if bias is not None:
-            s += bias
-        a = softmax(s)
-        attn.append(a)
-        heads[:, sl] = a @ V[:, sl]
+    Qp = _split_heads(Q, layout.queries, n_heads)
+    Kp = _split_heads(K, layout.keys, n_heads)
+    Vp = _split_heads(V, layout.keys, n_heads)
+    s = (Qp @ Kp.transpose(0, 1, 3, 2)) * scale_factor
+    if layout.bias is not None:
+        s += layout.bias[:, None]
+    attn = softmax(s)
+    heads = _merge_heads(attn @ Vp, layout.queries)
     out, norm = _add_norm(x, heads @ w.wo.value.data, w, mask)
-    return out, (scale_factor, Q, heads, attn, norm)
+    return out, (scale_factor, Qp, Kp, Vp, heads, attn, norm)
 
 
-def attention_block(x, kv, w, n_heads, bias=None, drop=None):
+def attention_block(x, kv, w, n_heads, layout=None, drop=None):
     """Recorded attention sublayer: Q/K/V projections, per-head attention,
     output projection, dropout, residual and layer norm as one op.
 
     kv [m,d] supplies keys and values; it is x itself for self-attention.
-    ``bias`` is attention_forward's additive [n,m] score mask.
+    ``layout`` is attention_forward's split into sequences.
     ``drop(shape)`` hands out the dropout mask; None means no dropout.
     """
     wq, wk, wv, wo = w.wq.value, w.wk.value, w.wv.value, w.wo.value
     K = kv.data @ wk.data
     V = kv.data @ wv.data
     mask = _drop_mask(drop, x)
-    out, (scale_factor, Q, heads, attn, norm) = attention_forward(
-        x.data, K, V, w, n_heads, bias, mask
+    layout = layout or WHOLE
+    out, (scale_factor, Qp, Kp, Vp, heads, attn, norm) = attention_forward(
+        x.data, K, V, w, n_heads, layout, mask
     )
-    dh = Q.shape[1] // n_heads
+    queries, keys = layout.queries, layout.keys
 
     def bwd(g):
         dx, dy = _add_norm_backward(g, w, mask, *norm)
         accum(wo, heads.T @ dy)
-        dheads = dy @ wo.data.T
-        dQ = np.empty_like(Q)
-        dK = np.empty_like(K)
-        dV = np.empty_like(V)
-        for j in range(n_heads):
-            sl = slice(j * dh, (j + 1) * dh)
-            A, dHj = attn[j], dheads[:, sl]
-            dV[:, sl] = A.T @ dHj
-            # masked entries have A == 0, so their score gradient is 0 too
-            dS = softmax_backward(A, dHj @ V[:, sl].T)
-            dQ[:, sl] = scale_factor * (dS @ K[:, sl])
-            dK[:, sl] = scale_factor * (dS.T @ Q[:, sl])
+        dH = _split_heads(dy @ wo.data.T, queries, n_heads)  # pad query rows get zeros
+        dV = _merge_heads(attn.transpose(0, 1, 3, 2) @ dH, keys)
+        # masked entries have attn == 0, so their score gradient is 0 too
+        dS = softmax_backward(attn, dH @ Vp.transpose(0, 1, 3, 2))
+        dQ = scale_factor * _merge_heads(dS @ Kp, queries)
+        dK = scale_factor * _merge_heads(dS.transpose(0, 1, 3, 2) @ Qp, keys)
         accum(wq, x.data.T @ dQ)
         accum(wk, kv.data.T @ dK)
         accum(wv, kv.data.T @ dV)
@@ -422,12 +507,12 @@ def ffn_block(x, w, drop=None):
     """Recorded feed-forward sublayer: both matmuls with biases, ReLU,
     dropout, residual and layer norm as one op."""
     mask = _drop_mask(drop, x)
-    out, (pre, hidden, norm) = ffn_forward(x.data, w, mask)
+    out, (pre, _, norm) = ffn_forward(x.data, w, mask)  # the sweep recomputes ReLU(pre)
 
     def bwd(g):
         dx, dy = _add_norm_backward(g, w, mask, *norm)
         accum(w.b2.value, dy.sum(axis=0, keepdims=True))
-        accum(w.w2.value, hidden.T @ dy)
+        accum(w.w2.value, np.maximum(pre, 0.0).T @ dy)
         dpre = (dy @ w.w2.value.data.T) * (pre > 0)
         accum(w.b1.value, dpre.sum(axis=0, keepdims=True))
         accum(w.w1.value, x.data.T @ dpre)

@@ -7,12 +7,16 @@ scores for repeated tokens. The step distributions live in an extended
 vocabulary: the word vocab plus one slot per out-of-vocabulary context
 token.
 
+Training stacks a batch's questions as rows: each question is one causal
+self-attention sequence, and its rows attend to its own fact's three rows.
 The copy head is four recorded ops (mode_switch, vocab_distribution,
 context_copy_distribution, mix_distributions), each a plain-numpy forward
-kernel plus a hand-written backward. The incremental Generator calls the
-same kernels, and the transformer sublayer kernels, on one new row per live
-hypothesis per step. Greedy and beam decoding are one search over its rows;
-greedy is width 1.
+kernel plus a hand-written backward, over all rows of the batch at once.
+Context copy pads each example's context and copy groups to the batch
+maximum (``CopyBatch``), and the mixture's extended vocabulary is padded to
+the largest one. The incremental Generator calls the same kernels, and the
+transformer sublayer kernels, on one new row per live hypothesis per step.
+Greedy and beam decoding are one search over its rows; greedy is width 1.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .corpus import BOS, EOS, SUBJ, UNK
+from .corpus import BOS, EOS, PAD, SUBJ, UNK
 
 
 @dataclass
@@ -91,10 +95,6 @@ class CopySource:
         self.n_oov = len(self.oov_tokens)
         self.n_extended = self.vocab_size + self.n_oov
         self._vocab = vocab
-        # positions per group, padded with the group's first position; the
-        # pads never change a maximum or which position first holds it
-        width = max(map(len, self.groups))
-        self.group_index = np.array([g + g[:1] * (width - len(g)) for g in self.groups])
 
     def extended_id(self, token):
         g = self._group_of.get(token)
@@ -110,30 +110,83 @@ class CopySource:
         return self.oov_tokens[ext_id - self.vocab_size]
 
 
-def decode_states(prev_ids, h_f, params, drop=None):
-    """All decoder states for a teacher-forced prefix; [T, d].
+class CopyBatch:
+    """The copy sources of a batch's examples, padded to the batch maximum.
 
-    prev_ids must start with BOS. Self-attention is causal: a -inf bias
-    above the diagonal makes row t depend only on tokens up to t, so
+    ``steps[b]`` rows of the stacked decoder states belong to example b;
+    None means one example owning every row. Each example's context is a
+    key sequence (``contexts``), and its copy groups are padded to the most
+    groups: a pad group reads one extra, always-masked key column, so its
+    copy probability is exactly 0, and it scatters that 0 onto <pad>. The
+    extended vocabulary is the word vocab plus the most out-of-vocabulary
+    slots of any example.
+    """
+
+    def __init__(self, sources, steps=None):
+        self.sources = sources
+        self.steps = steps
+        self.vocab_size = sources[0].vocab_size
+        self.n_extended = self.vocab_size + max(src.n_oov for src in sources)
+        n_groups = [len(src.groups) for src in sources]
+        width = max(n_groups)
+        lengths = [len(src.tokens) for src in sources]
+        pad_key = max(lengths)  # the extra key column that pad groups read
+        self.contexts = ad.Sequences(lengths, pad_key + (min(n_groups) < width))
+        positions = max(len(g) for src in sources for g in src.groups)
+        self.group_index = np.full((len(sources), width, positions), pad_key)  # [B, G, W]
+        self.group_ext_ids = np.full((len(sources), width), PAD)
+        for b, src in enumerate(sources):
+            # each group's positions, padded with its first; the pads never
+            # change a maximum or which position first holds it
+            self.group_index[b, : len(src.groups)] = [g + g[:1] * (positions - len(g)) for g in src.groups]
+            self.group_ext_ids[b, : len(src.groups)] = src.group_ext_ids
+
+    @staticmethod
+    def of(copy):
+        """A CopyBatch as given, or a CopySource as a batch of one."""
+        return copy if isinstance(copy, CopyBatch) else CopyBatch([copy])
+
+    def rows(self, n_rows):
+        """The decoder rows as query sequences, one per example."""
+        return ad.Sequences([n_rows] if self.steps is None else self.steps)
+
+    def columns(self, n_rows):
+        """The index of each row's copy groups in the extended vocabulary: ``dist[index]`` is [n, G]."""
+        if self.steps is None:
+            return slice(None), self.group_ext_ids[0]
+        example = np.repeat(np.arange(len(self.steps)), self.steps)
+        return np.arange(n_rows)[:, None], self.group_ext_ids[example]
+
+
+def decode_states(prev_ids, h_f, params, drop=None, steps=None):
+    """All decoder states for teacher-forced prefixes stacked as rows; [sum T, d].
+
+    ``steps`` gives each question's row count (default: one question), and
+    h_f holds three fact rows per question. Each prefix must start with
+    BOS. Self-attention is causal within each question: a -inf bias on
+    later rows makes row t depend only on its question's tokens up to t, so
     appending tokens changes earlier rows by rounding at most.
     """
     if len(prev_ids) == 0:
         raise ad.ContractError("decode_states needs at least the BOS token")
-    if prev_ids[0] != BOS:
+    steps = [len(prev_ids)] if steps is None else list(steps)
+    starts = np.cumsum([0] + steps[:-1])
+    if any(prev_ids[i] != BOS for i in starts):
         raise ad.ContractError("decoder input must start with BOS")
-    t_len = len(prev_ids)
-    if t_len > params.pos_table.shape[0]:
+    if max(steps) > params.pos_table.shape[0]:
         raise ad.ContractError(
-            f"sequence length {t_len} exceeds position table {params.pos_table.shape[0]}"
+            f"sequence length {max(steps)} exceeds position table {params.pos_table.shape[0]}"
         )
+    positions = np.arange(len(prev_ids)) - np.repeat(starts, steps)
     x = ad.add(
         ad.gather(params.word_emb.value, list(prev_ids)),
-        ad.tensor(params.pos_table[:t_len]),
+        ad.tensor(params.pos_table[positions]),
     )
-    future = np.triu(np.full((t_len, t_len), -np.inf, dtype=x.data.dtype), k=1)
+    causal = ad.layout(steps, causal=True)
+    to_fact = ad.layout(steps, [3] * len(steps))
     for layer in params.layers:
-        x = ad.attention_block(x, x, layer.self_attn, params.n_heads, bias=future, drop=drop)
-        x = ad.attention_block(x, h_f, layer.fact_attn, params.n_heads, drop=drop)
+        x = ad.attention_block(x, x, layer.self_attn, params.n_heads, layout=causal, drop=drop)
+        x = ad.attention_block(x, h_f, layer.fact_attn, params.n_heads, layout=to_fact, drop=drop)
         x = ad.ffn_block(x, layer.ffn, drop=drop)
     return x
 
@@ -198,84 +251,112 @@ def vocab_distribution(states, params):
     return ad.record(p, (states, emb), bwd)
 
 
-def context_copy_forward(s, keys, copy_source):
+def context_copy_forward(s, keys, copy):
     """Context-copy kernel on arrays; keys are the context rows times w_ctx.
 
-    Returns (p_ctx [T, G], (scores [T, L], reduced [T, G], total [T, 1])):
-    the position scores, each group's maximum score and their row sums.
+    ``copy`` is a CopySource or CopyBatch; each example's rows score only
+    its own context. Returns (p_ctx [n, G], (scores [B, T, L], reduced
+    [B, T, G], total [B, T, 1])): the position scores, each group's maximum
+    score and their row sums, with each example's rows padded to the most.
     """
-    scores = ad.softmax(s @ keys.T)
-    reduced = scores[:, copy_source.group_index].max(axis=2)
-    total = reduced.sum(axis=1, keepdims=True)
-    return reduced / total, (scores, reduced, total)
+    copy = CopyBatch.of(copy)
+    rows = copy.rows(len(s))
+    scores = rows.pad(s) @ copy.contexts.pad(keys).transpose(0, 2, 1)  # [B, T, L]
+    if copy.contexts.valid is not None:
+        # every context has a real key, so pad rows stay finite too; unpad drops them
+        scores = np.where(copy.contexts.valid[:, None, :], scores, -np.inf)
+    scores = ad.softmax(scores)
+    reduced = _grouped(scores, copy.group_index).max(axis=3)
+    total = reduced.sum(axis=2, keepdims=True)
+    return rows.unpad(reduced / total), (scores, reduced, total)
 
 
-def context_copy_distribution(states, context_rows, copy_source, params):
+def _grouped(scores, index):
+    """Scores [B, T, L] at each group's positions, index [B, G, W] -> [B, T, G, W]."""
+    b, g, w = index.shape
+    if b == 1:
+        return scores[:, :, index[0]]
+    return np.take_along_axis(scores, index.reshape(b, 1, g * w), axis=2).reshape(b, -1, g, w)
+
+
+def context_copy_distribution(states, context_rows, copy, params):
     """Max-reduced, renormalized copy scores over unique context tokens.
 
-    Per-position scores are a softmax over all of the concatenated context;
-    each unique token then keeps the maximum over its positions (never the
-    sum), and the reduced scores are renormalized into a distribution. The
-    gradient of a group goes to the one position its maximum came from.
+    Per-position scores are a softmax over all of the example's concatenated
+    context; each unique token then keeps the maximum over its positions
+    (never the sum), and the reduced scores are renormalized into a
+    distribution. The gradient of a group goes to the one position its
+    maximum came from. A pad group has score and gradient 0.
     """
     w_ctx = params.w_ctx.value
     keys = context_rows.data @ w_ctx.data  # [L, d]
-    p, (scores, _, total) = context_copy_forward(states.data, keys, copy_source)
+    p, (scores, _, total) = context_copy_forward(states.data, keys, copy)
+    copy = CopyBatch.of(copy)
+    rows, keys_p = copy.rows(len(p)), copy.contexts.pad(keys)
 
     def bwd(g):
         # the lowest position among those holding the group's maximum
-        index = copy_source.group_index
-        arg = index[np.arange(len(index)), scores[:, index].argmax(axis=2)]
+        first = _grouped(scores, copy.group_index).argmax(axis=3)[..., None]
+        arg = np.take_along_axis(copy.group_index[:, None], first, axis=3)
+        dreduced = rows.pad(g - (g * p).sum(axis=1, keepdims=True)) / total
         dscores = np.zeros_like(scores)
-        np.put_along_axis(dscores, arg, (g - (g * p).sum(axis=1, keepdims=True)) / total, axis=1)
+        np.put_along_axis(dscores, arg[..., 0], dreduced, axis=2)
         dlogits = ad.softmax_backward(scores, dscores)
-        ad.accum(states, dlogits @ keys)
-        dkeys = dlogits.T @ states.data
+        ad.accum(states, rows.unpad(dlogits @ keys_p))
+        dkeys = copy.contexts.unpad(dlogits.transpose(0, 2, 1) @ rows.pad(states.data))
         ad.accum(w_ctx, context_rows.data.T @ dkeys)
         ad.accum(context_rows, dkeys @ w_ctx.data.T)
 
     return ad.record(p, (states, context_rows, w_ctx), bwd)
 
 
-def mix_forward(modes, p_vocab, p_ctx, copy_source):
-    """Mixture kernel on arrays; [T, n_extended].
+def mix_forward(modes, p_vocab, p_ctx, copy):
+    """Mixture kernel on arrays; [n, n_extended].
 
-    The KB-copy mode is a point mass on <subj>. Each copy group has its own
-    extended id, so the context-copy mass scatters without collisions.
+    The KB-copy mode is a point mass on <subj>. Each of an example's copy
+    groups has its own extended id, so the context-copy mass scatters
+    without collisions; the pad groups' zeros all land on <pad>.
     """
-    dist = np.zeros((len(modes), copy_source.n_extended), dtype=p_vocab.dtype)
-    dist[:, : copy_source.vocab_size] = modes[:, :1] * p_vocab
+    copy = CopyBatch.of(copy)
+    dist = np.zeros((len(modes), copy.n_extended), dtype=p_vocab.dtype)
+    dist[:, : copy.vocab_size] = modes[:, :1] * p_vocab
     dist[:, SUBJ] += modes[:, 1]
-    dist[:, copy_source.group_ext_ids] += modes[:, 2:] * p_ctx
+    dist[copy.columns(len(modes))] += modes[:, 2:] * p_ctx
     return dist
 
 
-def mix_distributions(modes, p_vocab, p_ctx, copy_source):
+def mix_distributions(modes, p_vocab, p_ctx, copy):
     """Eq-style mixture over the extended vocabulary; rows sum to 1.
 
     A context token that is also a vocab word accumulates both its
     generation and its copy mass on the shared entry.
     """
+    copy = CopyBatch.of(copy)
     m, pv, pc = modes.data, p_vocab.data, p_ctx.data
-    ext = copy_source.group_ext_ids
+    index = copy.columns(len(m))
 
     def bwd(g):
-        g_vocab, g_ctx = g[:, : copy_source.vocab_size], g[:, ext]
+        # a pad group's gradient meets its zero probability and zero copy score
+        g_vocab, g_ctx = g[:, : copy.vocab_size], g[index]
         dmodes = [(g_vocab * pv).sum(axis=1), g[:, SUBJ], (g_ctx * pc).sum(axis=1)]
         ad.accum(modes, np.column_stack(dmodes))
         ad.accum(p_vocab, g_vocab * m[:, :1])
         ad.accum(p_ctx, g_ctx * m[:, 2:])
 
-    return ad.record(mix_forward(m, pv, pc, copy_source), (modes, p_vocab, p_ctx), bwd)
+    return ad.record(mix_forward(m, pv, pc, copy), (modes, p_vocab, p_ctx), bwd)
 
 
-def step_distributions(states, prev_emb, fact_enc, copy_source, params,
+def step_distributions(states, prev_emb, fact_enc, copy, params,
                        use_kb_copy=True, use_ctx_copy=True):
-    """The full per-step extended distributions [T, n_extended] plus modes."""
+    """The full per-step extended distributions [n, n_extended] plus modes.
+
+    ``copy`` is one example's CopySource or a batch's CopyBatch.
+    """
+    copy = CopyBatch.of(copy)
     modes = mode_switch(states, prev_emb, params, use_kb_copy, use_ctx_copy)
     p_vocab = vocab_distribution(states, params)
-    p_ctx = context_copy_distribution(states, fact_enc.context_rows, copy_source, params)
-    dist = mix_distributions(modes, p_vocab, p_ctx, copy_source)
+    p_ctx = context_copy_distribution(states, fact_enc.context_rows, copy, params)
+    dist = mix_distributions(modes, p_vocab, p_ctx, copy)
     return dist, modes
 
 
@@ -301,8 +382,8 @@ class Generator:
     Each step runs one new row per hypothesis through the kernels training
     records: ad.attention_forward, ad.ffn_forward and the copy head's
     mode/vocab/context-copy/mix kernels. Each layer caches self-attention K
-    and V as [rows, steps, d], read flattened under a segment bias so that a
-    row sees only its own steps; fact K/V and the copy keys are projected
+    and V as [rows, steps, d]; each row's query is one attention sequence
+    over its own cached steps. Fact K/V and the copy keys are projected
     once and shared. It starts with one row; ``keep`` gathers rows, which is
     how a beam search reorders them. Tests pin it to the recorded graph.
     """
@@ -310,6 +391,7 @@ class Generator:
     def __init__(self, model, example):
         self.model = model
         self.copy_source = CopySource(example.contexts, model.vocab)
+        self._copy = CopyBatch([self.copy_source])
         with ad.no_grad():
             fact_enc = model.encode_fact(example)
         params = model.decoder
@@ -321,12 +403,14 @@ class Generator:
         ]
         empty = np.empty((1, 0, params.d), dtype=h_f.dtype)
         self.self_cache = [(empty, empty) for _ in params.layers]
+        self.queries = ad.Sequences([1])  # one query per row, each its own sequence
         self.t = 0
         self.mode_offsets = mode_mask(model.use_kb_copy, model.use_ctx_copy)
 
     def keep(self, rows):
         """Continue with the given rows: new row i carries on from old row rows[i]."""
         self.self_cache = [(ks[rows], vs[rows]) for ks, vs in self.self_cache]
+        self.queries = ad.Sequences([1] * len(rows))
 
     def step(self, token_ids):
         """Feed one input id per row; returns (dist, modes, p_vocab, p_ctx) of [rows, ·]."""
@@ -337,9 +421,7 @@ class Generator:
         emb = params.word_emb.value.data.take(token_ids, axis=0)
         x = emb + params.pos_table[self.t]
         self.t += 1
-        bias = None  # a single row sees every cached step
-        if rows > 1:
-            bias = ad.segment_bias(np.arange(rows), np.repeat(np.arange(rows), self.t), x.dtype)
+        own_steps = ad.Layout(self.queries, ad.Sequences([self.t] * rows), None)
         for li, layer in enumerate(params.layers):
             attn = layer.self_attn
             ks, vs = self.self_cache[li]
@@ -347,15 +429,14 @@ class Generator:
             vs = np.concatenate([vs, (x @ attn.wv.value.data)[:, None]], axis=1)
             self.self_cache[li] = (ks, vs)
             x, _ = ad.attention_forward(x, ks.reshape(-1, ks.shape[2]), vs.reshape(-1, ks.shape[2]),
-                                        attn, params.n_heads, bias)
+                                        attn, params.n_heads, own_steps)
             x, _ = ad.attention_forward(x, *self.fact_kv[li], layer.fact_attn, params.n_heads)
             x, _ = ad.ffn_forward(x, layer.ffn)
 
-        src = self.copy_source
         modes, _ = mode_forward(x, emb, params, self.mode_offsets)
         p_vocab = vocab_forward(x, params)
-        p_ctx, _ = context_copy_forward(x, self.ctx_keys, src)
-        return mix_forward(modes, p_vocab, p_ctx, src), modes, p_vocab, p_ctx
+        p_ctx, _ = context_copy_forward(x, self.ctx_keys, self._copy)
+        return mix_forward(modes, p_vocab, p_ctx, self._copy), modes, p_vocab, p_ctx
 
 
 def greedy_decode(model, example, max_len=32):
@@ -389,7 +470,10 @@ def _search(model, example, width, max_len):
     first ``width`` that are not EOS live on; an EOS ranked before them
     finishes its beam, scored per token with EOS counted. After max_len
     steps the live beams finish too. Width 1 is greedy decoding: it ends at
-    the first EOS that ranks first, which outscores the runner-up.
+    the first EOS that ranks first, which outscores the runner-up. Wider
+    searches stop once no live beam can beat the best finished score: a
+    beam's log probability only falls, and it ends with at most max_len
+    tokens, so its final score is at most logprob / max_len.
     """
     if width < 1:
         raise ad.ContractError(f"beam width must be at least 1, got {width}")
@@ -420,8 +504,9 @@ def _search(model, example, width, max_len):
         if kept != list(range(len(beams))):
             gen.keep(kept)
         beams = next_beams
-        if width == 1 and finished:
-            break  # greedy decoding ends at its first EOS
+        best = max(f[0] for f in finished) if finished else None
+        if best is not None and (width == 1 or max(b[2] for b in beams) / max_len <= best):
+            break  # greedy ends at its first EOS; a wider search once no live beam can win
     finished += [(logprob / max(len(tokens), 1), tokens, chars) for tokens, chars, logprob in beams]
     _, tokens, mode_chars = max(finished, key=lambda f: f[0])
     return tokens, mode_chars

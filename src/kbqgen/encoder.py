@@ -1,13 +1,14 @@
 """Context encoder and the context-augmented fact representation.
 
 A shared transformer encoder (no position signal: contexts are type bags)
-encodes the three textual contexts of a fact in one pass over their stacked
-rows; a segment mask keeps each row's attention inside its own context. An
-attentive summary of each context from its atom's KB embedding is then fused
-with that embedding through a gated unit, and the three augmented rows form
-the 3 x d fact representation the decoder attends over. The fusion is one
-recorded op, ``fuse``, over the plain-numpy kernel ``fusion_forward``; it
-and the encoder take their masks from ``ad.segment_bias``.
+encodes every textual context of a batch of facts in one pass over their
+stacked rows; each context is its own attention sequence, so a row attends
+only inside its context. An attentive summary of each context from its
+atom's KB embedding is then fused with that embedding through a gated unit,
+and each fact's three augmented rows form the 3 x d representation the
+decoder attends over. The fusion is one recorded op, ``fuse``, over the
+plain-numpy kernel ``fusion_forward``, in which each atom attends over its
+own context padded to the longest (``ad.Sequences``).
 """
 
 from __future__ import annotations
@@ -47,22 +48,27 @@ class FusionParams:
 
 @dataclass
 class AugmentedFact:
-    """Rows [h_s; h_p; h_o] plus the per-atom context matrices for copying."""
+    """Rows [h_s; h_p; h_o] of each fact plus the context rows for copying."""
 
-    h_f: ad.Tensor  # [3, d]
-    context_rows: ad.Tensor  # [|s|+|p|+|o|, d] in copy-source order
+    h_f: ad.Tensor  # [3B, d], three rows per fact
+    context_rows: ad.Tensor  # [sum of |s|+|p|+|o|, d], each fact's in copy-source order
+
+
+def context_lengths(segment_ids):
+    """Row counts of the runs of equal segment ids: one run per context."""
+    return [len(list(run)) for _, run in itertools.groupby(segment_ids)]
 
 
 def encode_contexts(token_ids, segment_ids, params, drop=None):
     """Encode stacked contexts in one pass: token+segment embeddings through
     L self-attention layers with residual layer norms around both sub-layers.
 
-    ``segment_ids`` labels each row's context; the segment mask makes each
-    context's rows equal that context encoded alone, up to rounding. There
-    is deliberately no position embedding: permuting a context's tokens
-    permutes its output rows and nothing else. ``drop(shape)`` is asked for
-    [n_i, d] masks context by context, within one layer by layer, attention
-    before FFN; each sublayer applies the row-concatenation of its masks.
+    Each run of equal ``segment_ids`` is one context and one attention
+    sequence, so each context's rows equal that context encoded alone, up to
+    rounding. There is deliberately no position embedding: permuting a
+    context's tokens permutes its output rows and nothing else.
+    ``drop(shape)`` is asked for one [n, d] mask over all rows per sublayer,
+    layer by layer, attention before FFN.
     """
     if len(token_ids) == 0:
         raise ad.ContractError("encode_contexts needs at least one token")
@@ -70,16 +76,10 @@ def encode_contexts(token_ids, segment_ids, params, drop=None):
         ad.gather(params.word_emb.value, list(token_ids)),
         ad.gather(params.seg_emb.value, segment_ids),
     )
-    bias = ad.segment_bias(segment_ids, segment_ids, x.data.dtype)
-    sublayer_drop = None
-    if drop is not None:
-        sizes = [len(list(run)) for _, run in itertools.groupby(segment_ids)]
-        per_context = [[drop((n, params.d)) for _ in range(2 * len(params.layers))] for n in sizes]
-        masks = iter([np.concatenate(m) for m in zip(*per_context)])
-        sublayer_drop = lambda shape: next(masks)
+    within = ad.layout(context_lengths(segment_ids))
     for layer in params.layers:
-        x = ad.attention_block(x, x, layer.attn, params.n_heads, bias=bias, drop=sublayer_drop)
-        x = ad.ffn_block(x, layer.ffn, drop=sublayer_drop)
+        x = ad.attention_block(x, x, layer.attn, params.n_heads, layout=within, drop=drop)
+        x = ad.ffn_block(x, layer.ffn, drop=drop)
     return x
 
 
@@ -96,28 +96,32 @@ def _sigmoid(x):
 def fusion_forward(h, rows, segment_ids, fusion):
     """Fusion kernel on arrays: g*tanh(W_f [c;h]) + (1-g)*h, g = sigmoid(W_g [c;h]).
 
-    h [n,d] holds the atoms' KB rows; rows [L,d] stacks their contexts, and
-    ``segment_ids[j]`` is the atom whose context holds row j. c is each
-    atom's attention summary of its own context: the segment mask gives the
-    other contexts' rows zero weight in the one [n,L] score matrix. Returns
-    (out, saved).
+    h [n,d] holds the atoms' KB rows; rows [L,d] stacks their contexts in
+    atom order, and ``segment_ids[j]`` is the atom whose context holds row
+    j. c is each atom's attention summary of its own context, padded to the
+    longest with -inf scores on the pads. Returns (out, saved).
     """
     scale_factor = 1.0 / math.sqrt(h.shape[1])
-    scores = (h @ rows.T) * scale_factor
+    contexts = ad.Sequences(np.bincount(segment_ids, minlength=len(h)))
+    R = contexts.pad(rows)  # [n, T, d]
+    scores = (R @ h[:, :, None])[:, :, 0] * scale_factor
     if np.isnan(scores).any():
         raise ad.NumericError("fusion attention over NaN scores")
-    attn = ad.softmax(scores + ad.segment_bias(np.arange(len(h)), segment_ids, scores.dtype))
-    cat = np.concatenate([attn @ rows, h], axis=1)
+    if contexts.valid is not None:
+        scores[~contexts.valid] = -np.inf
+    attn = ad.softmax(scores)
+    cat = np.concatenate([(attn[:, None, :] @ R)[:, 0], h], axis=1)
     f = np.tanh(cat @ fusion.w_f.value.data.T)
     g = _sigmoid(cat @ fusion.w_g.value.data.T)
-    return g * f + (1.0 - g) * h, (scale_factor, attn, cat, f, g)
+    return g * f + (1.0 - g) * h, (scale_factor, contexts, R, attn, cat, f, g)
 
 
 def fuse(h_f, context_rows, segment_ids, fusion):
     """Recorded fusion: per-atom context attention and the gated unit as one op."""
     w_f, w_g = fusion.w_f.value, fusion.w_g.value
-    h, rows = h_f.data, context_rows.data
-    out, (scale_factor, attn, cat, f, g) = fusion_forward(h, rows, segment_ids, fusion)
+    h = h_f.data
+    out, (scale_factor, contexts, R, attn, cat, f, g) = fusion_forward(
+        h, context_rows.data, segment_ids, fusion)
     d = h.shape[1]
 
     def bwd(grad):
@@ -127,28 +131,33 @@ def fuse(h_f, context_rows, segment_ids, fusion):
         ad.accum(w_g, dpre_g.T @ cat)
         dcat = dpre_f @ w_f.data + dpre_g @ w_g.data
         dc = dcat[:, :d]
-        # masked entries have attn == 0, so their score gradient is 0 too
-        ds = scale_factor * ad.softmax_backward(attn, dc @ rows.T)
-        ad.accum(context_rows, attn.T @ dc + ds.T @ h)
-        ad.accum(h_f, grad * (1.0 - g) + dcat[:, d:] + ds @ rows)
+        # pad entries have attn == 0, so their score gradient is 0 too
+        ds = scale_factor * ad.softmax_backward(attn, (R @ dc[:, :, None])[:, :, 0])
+        dR = attn[:, :, None] * dc[:, None, :] + ds[:, :, None] * h[:, None, :]
+        ad.accum(context_rows, contexts.unpad(dR))
+        ad.accum(h_f, grad * (1.0 - g) + dcat[:, d:] + (ds[:, None, :] @ R)[:, 0])
 
     return ad.record(out, (h_f, context_rows, w_f, w_g), bwd)
 
 
-def augment_fact(fact, contexts, kb_table, enc_params, fusion_params, use_fusion=True, drop=None):
-    """Encode the three contexts in one pass, fuse each with its KB embedding, stack rows.
+def augment_facts(facts, context_sets, kb_table, enc_params, fusion_params, use_fusion=True,
+                  drop=None):
+    """Encode every fact's three contexts in one pass, fuse each with its KB
+    embedding, and stack three rows per fact.
 
     With ``use_fusion`` off the fact rows are the bare KB embeddings (the
     ablated encoder); context rows are still produced for the copier.
+    ``drop`` is encode_contexts' per-sublayer mask source.
     """
-    if not (contexts.subject_ids and contexts.predicate_ids and contexts.object_ids):
-        raise ad.ContractError("each context needs at least one token, or its fusion row is NaN")
-    segment_ids = contexts.segment_ids
-    context_rows = encode_contexts(
-        contexts.subject_ids + contexts.predicate_ids + contexts.object_ids,
-        segment_ids, enc_params, drop=drop,
-    )
-    h_f = ad.gather(kb_table, [fact.subject, fact.predicate, fact.object])
+    for contexts in context_sets:
+        if not (contexts.subject_ids and contexts.predicate_ids and contexts.object_ids):
+            raise ad.ContractError("each context needs at least one token, or its fusion row is NaN")
+    token_ids = [t for c in context_sets for t in c.subject_ids + c.predicate_ids + c.object_ids]
+    segment_ids = [s for c in context_sets for s in c.segment_ids]
+    context_rows = encode_contexts(token_ids, segment_ids, enc_params, drop=drop)
+    atoms = [a for f in facts for a in (f.subject, f.predicate, f.object)]
+    h_f = ad.gather(kb_table, atoms)
     if use_fusion:
-        h_f = fuse(h_f, context_rows, segment_ids, fusion_params)
+        atom_of_row = np.repeat(np.arange(len(atoms)), context_lengths(segment_ids))
+        h_f = fuse(h_f, context_rows, atom_of_row, fusion_params)
     return AugmentedFact(h_f=h_f, context_rows=context_rows)

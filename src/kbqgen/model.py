@@ -3,7 +3,9 @@
 Builds encoder, fusion, decoder and KB-embedding parameters from a seed,
 wires the shared word-embedding table across encoder input, decoder input
 and output logits, and provides the teacher-forced forward pass whose step
-distributions feed the objective directly.
+distributions feed the objective directly. The forward pass takes a batch
+of examples and records one graph for all of them; one example is a batch
+of one.
 """
 
 from __future__ import annotations
@@ -18,6 +20,16 @@ from . import encoder as enc
 from .corpus import EOS
 
 INIT_RANGE = 0.08
+
+
+@dataclass
+class BatchForward:
+    distributions: ad.Tensor  # [sum T, n_extended], each example's T rows in turn
+    modes: ad.Tensor  # [sum T, 3]
+    copy: dec.CopyBatch
+    steps: list  # T per example
+    gold_ext_ids: list  # len sum T
+    answer_ext_ids: list  # one list per example
 
 
 @dataclass
@@ -136,36 +148,69 @@ class Model:
         for p in self.registry.values():
             p.zero_grad()
 
-    def encode_fact(self, example, drop=None):
-        return enc.augment_fact(
-            example.fact, example.contexts, self.kb_emb.value,
+    def encode_facts(self, examples, drop=None):
+        return enc.augment_facts(
+            [ex.fact for ex in examples], [ex.contexts for ex in examples], self.kb_emb.value,
             self.encoder, self.fusion, use_fusion=self.use_fusion, drop=drop,
         )
 
-    def forward_example(self, example, drop=None):
-        """Teacher-forced step distributions for one example.
+    def encode_fact(self, example):
+        return self.encode_facts([example])
 
-        The returned distributions are the exact tensors the objective
-        consumes; gold tokens are already mapped into the extended
-        vocabulary (a gold word present in the contexts scores the mixture
-        mass on that shared symbol).
+    def _dropout_masks(self, examples, drops):
+        """Per-sublayer mask sources for the encoder and the decoder, or (None, None).
+
+        Each example's ``drop(shape)`` is asked for its masks in the shapes
+        and order of that example run alone: its three contexts in turn, each
+        layer by layer with attention before FFN, then per decoder layer
+        self-attention, fact attention and FFN over its question rows. Each
+        batched sublayer applies the row-concatenation of its examples' masks.
         """
-        copy_source = dec.CopySource(example.contexts, self.vocab)
-        fact_enc = self.encode_fact(example, drop=drop)
-        input_ids = list(example.question[:-1])
-        states = dec.decode_states(input_ids, fact_enc.h_f, self.decoder, drop=drop)
+        if drops is None:
+            return None, None
+        n_enc, n_dec = 2 * self.n_layers, 3 * self.n_layers
+        enc_masks, dec_masks = [[] for _ in range(n_enc)], [[] for _ in range(n_dec)]
+        for ex, drop in zip(examples, drops):
+            c = ex.contexts
+            for n in (len(c.subject_ids), len(c.predicate_ids), len(c.object_ids)):
+                for masks in enc_masks:
+                    masks.append(drop((n, self.d)))
+            for masks in dec_masks:
+                masks.append(drop((len(ex.question) - 1, self.d)))
+        enc_iter = iter([np.concatenate(m) for m in enc_masks])
+        dec_iter = iter([np.concatenate(m) for m in dec_masks])
+        return (lambda shape: next(enc_iter)), (lambda shape: next(dec_iter))
+
+    def forward_batch(self, examples, drops=None):
+        """Teacher-forced step distributions for a batch, as one recorded graph.
+
+        ``drops`` holds one dropout mask source per example, or is None for
+        no dropout. The returned distributions are the exact tensors the
+        objective consumes; gold tokens are already mapped into each
+        example's extended vocabulary (a gold word present in the contexts
+        scores the mixture mass on that shared symbol).
+        """
+        sources = [dec.CopySource(ex.contexts, self.vocab) for ex in examples]
+        steps = [len(ex.question) - 1 for ex in examples]
+        copy = dec.CopyBatch(sources, steps)
+        enc_drop, dec_drop = self._dropout_masks(examples, drops)
+        fact_enc = self.encode_facts(examples, drop=enc_drop)
+        input_ids = [t for ex in examples for t in ex.question[:-1]]
+        states = dec.decode_states(input_ids, fact_enc.h_f, self.decoder, drop=dec_drop, steps=steps)
         prev_emb = ad.gather(self.decoder.word_emb.value, input_ids)
         distributions, modes = dec.step_distributions(
-            states, prev_emb, fact_enc, copy_source, self.decoder,
+            states, prev_emb, fact_enc, copy, self.decoder,
             use_kb_copy=self.use_kb_copy, use_ctx_copy=self.use_ctx_copy,
         )
-        target_tokens = list(example.question_words) + [self.vocab.token(EOS)]
-        gold_ext = [copy_source.extended_id(tok) for tok in target_tokens]
-        answer_ext = [copy_source.extended_id(tok) for tok in example.answer_type_words]
-        return ForwardResult(
-            distributions=distributions,
-            modes=modes,
-            copy_source=copy_source,
-            gold_ext_ids=gold_ext,
-            answer_ext_ids=answer_ext,
-        )
+        eos = self.vocab.token(EOS)
+        gold_ext = [src.extended_id(tok) for ex, src in zip(examples, sources)
+                    for tok in list(ex.question_words) + [eos]]
+        answer_ext = [[src.extended_id(tok) for tok in ex.answer_type_words]
+                      for ex, src in zip(examples, sources)]
+        return BatchForward(distributions, modes, copy, steps, gold_ext, answer_ext)
+
+    def forward_example(self, example, drop=None):
+        """forward_batch of one example, with that example's bookkeeping."""
+        out = self.forward_batch([example], None if drop is None else [drop])
+        return ForwardResult(out.distributions, out.modes, out.copy.sources[0],
+                             out.gold_ext_ids, out.answer_ext_ids[0])

@@ -2,7 +2,10 @@
 
 All randomness (shuffling, dropout masks, TransE negatives) derives from the
 config seed plus epoch/example counters, so a run is reproducible bit-for-bit
-in float64 and a checkpoint resume continues the exact trajectory.
+in float64 and a checkpoint resume continues the exact trajectory. Each batch
+is recorded as one graph over its examples' stacked rows (in chunks of at
+most CHUNK examples) and swept once; its loss and gradients equal the sum
+over its examples run alone, up to rounding.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from .textckpt import ConfigError
 
 RHO = 0.9
 EPSILON = 1e-8
+# examples per recorded graph: bounds the live activations at the paper batch of 200
+CHUNK = 32
 
 
 @dataclass
@@ -328,20 +333,32 @@ def build_model(config, dataset, kb_matrix=None):
     )
 
 
-def example_loss(model, example, config, drop=None):
-    """Total loss tensor plus breakdown for one teacher-forced example."""
-    result = model.forward_example(example, drop=drop)
-    ques = obj.question_loss(result.distributions, result.gold_ext_ids)
+def batch_loss(model, examples, config, drops=None):
+    """Per-example total losses [B, 1] from one recorded graph, plus a breakdown per example."""
+    result = model.forward_batch(examples, drops)
+    ques = obj.question_loss(result.distributions, result.gold_ext_ids, steps=result.steps)
+    q = ques.data[:, 0].tolist()
     if config.question_only:
-        breakdown = obj.LossBreakdown(
-            ques_loss=ques.item(), ans_loss=0.0, total_loss=ques.item(), argmin_pair=None
-        )
-        return ques, breakdown
-    ans, pair = obj.answer_loss(result.distributions, result.answer_ext_ids)
+        return ques, [obj.LossBreakdown(ques_loss=v, ans_loss=0.0, total_loss=v, argmin_pair=None)
+                      for v in q]
+    ans, pairs = obj.answer_losses(result.distributions, result.answer_ext_ids, result.steps)
     total = obj.total_loss(ques, ans, config.lam)
-    return total, obj.LossBreakdown(
-        ques_loss=ques.item(), ans_loss=ans.item(), total_loss=total.item(), argmin_pair=pair
-    )
+    return total, [
+        obj.LossBreakdown(ques_loss=qv, ans_loss=av, total_loss=tv, argmin_pair=pair)
+        for qv, av, tv, pair in zip(q, ans.data[:, 0].tolist(), total.data[:, 0].tolist(), pairs)
+    ]
+
+
+def example_loss(model, example, config, drop=None):
+    """Total loss tensor [1, 1] plus breakdown for one teacher-forced example."""
+    total, (breakdown,) = batch_loss(model, [example], config, None if drop is None else [drop])
+    return total, breakdown
+
+
+def _dropout(config, epoch, idx):
+    """Example idx's inverted dropout masks in an epoch, drawn in the order they are asked for."""
+    rng = np.random.default_rng([config.seed, epoch, idx])
+    return lambda shape: (rng.random(shape) >= config.dropout) / (1.0 - config.dropout)
 
 
 def decode_split(model, dataset, split, beam=1, max_len=32):
@@ -373,9 +390,9 @@ def _epoch_rng(seed, epoch):
 def train(config, dataset, kb_matrix=None, resume=None, log=None):
     """Full training run; returns best-valid and final checkpoints.
 
-    Per epoch: seeded shuffle, gradient accumulation over each batch, one
-    RMSProp step per batch at lr0 * decay^epoch, then greedy BLEU-4 on the
-    validation split. Without a validation split (absent or empty) the best
+    Per epoch: seeded shuffle, one recorded graph and one reverse sweep per
+    chunk of each batch, one RMSProp step per batch at lr0 * decay^epoch,
+    then greedy BLEU-4 on the validation split. Without a validation split (absent or empty) the best
     checkpoint is the last one. A loss or gradient norm that is not finite
     aborts with the last finite checkpoint.
     """
@@ -404,20 +421,17 @@ def train(config, dataset, kb_matrix=None, resume=None, log=None):
         for batch_start in range(0, len(order), config.batch_size):
             batch = order[batch_start : batch_start + config.batch_size]
             model.zero_grads()
-            for idx in batch:
-                drop = None
-                if config.dropout > 0:
-                    rng = np.random.default_rng([config.seed, epoch, idx])
-                    # inverted dropout masks, drawn in the order the sublayers ask
-                    drop = lambda shape, r=rng: (
-                        (r.random(shape) >= config.dropout) / (1.0 - config.dropout)
-                    )
-                total, breakdown = example_loss(model, train_examples[idx], config, drop=drop)
-                if not math.isfinite(breakdown.total_loss):
+            for chunk_start in range(0, len(batch), CHUNK):
+                chunk = batch[chunk_start : chunk_start + CHUNK]
+                drops = [_dropout(config, epoch, idx) for idx in chunk] if config.dropout > 0 else None
+                total, breakdowns = batch_loss(model, [train_examples[i] for i in chunk], config, drops)
+                losses = [b.total_loss for b in breakdowns]
+                if not all(map(math.isfinite, losses)):
                     diverged = True
                     break
-                ad.backward(ad.scale(total, 1.0 / len(batch)))
-                epoch_loss += breakdown.total_loss
+                ad.backward(ad.scale(ad.sum_all(total), 1.0 / len(batch)))
+                for loss in losses:  # in example order, so the sum rounds as one at a time
+                    epoch_loss += loss
             if diverged or not math.isfinite(optimizer.step(lr, clip=config.grad_clip)):
                 diverged = True
                 break

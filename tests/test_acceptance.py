@@ -80,9 +80,8 @@ def test_criterion_2_distribution_invariants(tmp_path):
             fact_enc = model.encode_fact(example)
             states = dec.decode_states(list(example.question[:-1]), fact_enc.h_f, model.decoder)
             keys = fact_enc.context_rows.data @ model.decoder.w_ctx.value.data
-            p_ctx, (sc, reduced, total) = dec.context_copy_forward(
-                states.data, keys, result.copy_source
-            )
+            p_ctx, padded = dec.context_copy_forward(states.data, keys, result.copy_source)
+            sc, reduced, total = (a[0] for a in padded)  # one example: drop the batch axis
             for t in range(sc.shape[0]):
                 for g, positions in enumerate(result.copy_source.groups):
                     oracle = max(sc[t, m] for m in positions)

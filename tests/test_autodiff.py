@@ -218,6 +218,9 @@ PRIMITIVE_CASES = {
     "add": lambda p, q, w: ad.add(p, q),
     "mul": lambda p, q, w: ad.mul(p, q),
     "gather": lambda p, q, w: ad.gather(p, [1, 0, 1]),
+    # segments 1 and 3 are empty; the pick (1, 0) repeats
+    "segment_sum": lambda p, q, w: ad.segment_sum(p, [2, 0, 2], 4),
+    "neg_log_prob": lambda p, q, w: ad.neg_log_prob(p, [0, 0, 2], rows=[1, 1, 2]),
 }
 
 
@@ -268,9 +271,9 @@ def sublayer_params(w):
     return [getattr(w, name) for name in vars(w)]
 
 
-def future(n):
-    """The causal score bias: -inf above the diagonal."""
-    return np.triu(np.full((n, n), -np.inf), k=1)
+def causal_layout(n):
+    """One causal sequence of n rows: -inf above the diagonal."""
+    return ad.layout([n], causal=True)
 
 
 @pytest.mark.parametrize("causal", [False, True])
@@ -287,8 +290,8 @@ def test_multihead_attention_gradients(causal):
             drop = None if mask is None else (lambda shape, m=mask: m)
 
             def f():
-                out = ad.attention_block(x.value, x.value, w, 2, bias=future(n) if causal else None,
-                                         drop=drop)
+                out = ad.attention_block(x.value, x.value, w, 2,
+                                         layout=causal_layout(n) if causal else None, drop=drop)
                 return weighted_sum(out)
 
             assert check_op(f, [x] + sublayer_params(w)) < 1e-4
@@ -322,6 +325,33 @@ def test_ffn_block_gradients(masked):
         return weighted_sum(ad.ffn_block(x.value, w, drop=drop))
 
     assert check_op(f, [x] + sublayer_params(w)) < 1e-4
+
+
+def test_pad_query_rows_stay_finite_and_leak_nothing():
+    # causal sequences of 4 and 1 rows: the second has three pad query rows,
+    # which get a finite bias row; each sequence's rows and input gradients
+    # equal that sequence run alone
+    rng = np.random.default_rng(23)
+    d, lengths = 4, (4, 1)
+    w = attention_weights(rng, d)
+    layout = ad.layout(lengths, causal=True)
+    assert np.all(layout.bias[1, 1:] == 0.0)
+    x0 = rng.normal(size=(sum(lengths), d))
+    probe = ad.tensor(rng.normal(size=x0.shape))
+    _, saved = ad.attention_forward(x0, x0 @ w.wk.value.data, x0 @ w.wv.value.data, w, 2, layout)
+    assert np.all(np.isfinite(saved[5]))  # the attention weights, pad rows included
+    x = ad.Parameter("x", x0)
+    out = ad.attention_block(x.value, x.value, w, 2, layout=layout)
+    ad.backward(ad.sum_all(ad.mul(out, probe)))
+    start = 0
+    for n in lengths:
+        rows = slice(start, start + n)
+        alone = ad.Parameter("alone", x0[rows])
+        out_alone = ad.attention_block(alone.value, alone.value, w, 2, layout=causal_layout(n))
+        ad.backward(ad.sum_all(ad.mul(out_alone, ad.tensor(probe.data[rows]))))
+        np.testing.assert_allclose(out.data[rows], out_alone.data, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(x.grad[rows], alone.grad, rtol=1e-12, atol=1e-12)
+        start += n
 
 
 def numpy_add_norm(x, y, w, mask):
@@ -367,15 +397,14 @@ def test_sublayer_forward_matches_numpy_composition(case, masked):
         kernel, _ = ad.ffn_forward(x, w, mask)
     else:
         w = attention_weights(rng, d)
-        causal = case == "causal"
-        bias = future(n) if causal else None
-        expected = numpy_attention(x, kv, w, heads, causal, mask)
+        layout = causal_layout(n) if case == "causal" else None
+        expected = numpy_attention(x, kv, w, heads, case == "causal", mask)
         kv_t = ad.tensor(kv)
         recorded = ad.attention_block(
-            kv_t if kv is x else ad.tensor(x), kv_t, w, heads, bias=bias, drop=drop
+            kv_t if kv is x else ad.tensor(x), kv_t, w, heads, layout=layout, drop=drop
         ).data
         K, V = kv @ w.wk.value.data, kv @ w.wv.value.data
-        kernel, _ = ad.attention_forward(x, K, V, w, heads, bias=bias, mask=mask)
+        kernel, _ = ad.attention_forward(x, K, V, w, heads, layout=layout, mask=mask)
     np.testing.assert_allclose(recorded, expected, rtol=1e-12, atol=1e-12)
     assert np.array_equal(kernel, recorded)
 

@@ -291,7 +291,7 @@ def test_maxout_uses_max_never_sum():
         src = copy_source_of(["city" if i in shared else f"w{i}" for i in range(n)])
         assert src.groups[src.group_tokens.index("city")] == shared
         _, (_, reduced, _) = copy_scores(scores, src)
-        reduced = reduced[0, src.group_tokens.index("city")]
+        reduced = reduced[0, 0, src.group_tokens.index("city")]
         assert reduced == pytest.approx(max(scores[i] for i in shared))
         assert reduced < sum(scores[i] for i in shared)
 
@@ -410,10 +410,10 @@ def test_teacher_forced_distributions_feed_objective_unchanged(monkeypatch):
 
     m = make_model(seed=20)
     example = make_example(m.vocab)
-    result = m.forward_example(example)
+    result = m.forward_batch([example])
     before = result.distributions.data.tobytes()
     # the training loss reads exactly these distributions
-    monkeypatch.setattr(m, "forward_example", lambda ex, drop=None: result)
+    monkeypatch.setattr(m, "forward_batch", lambda examples, drops=None: result)
     total, breakdown = tr.example_loss(m, example, tr.TrainConfig(lam=0.2))
     assert result.distributions.data.tobytes() == before
     assert breakdown.argmin_pair is not None
@@ -677,6 +677,38 @@ def test_greedy_ends_at_its_first_eos_and_wider_beams_carry_on(monkeypatch):
     # a width-1 search that did the same would not be greedy
     assert dec.beam_decode(m, example, beam_width=2, max_len=8) == (["city", "city"], "gg")
     assert beam_oracle(m, example, 2, 8) == (["city", "city"], "gg")
+
+
+class SureEosGenerator(HistoryGenerator):
+    """EOS at 0.9 ranks first at the first step; every other token is unlikely.
+    Counts the steps taken."""
+
+    steps = 0
+
+    def step(self, token_ids):
+        SureEosGenerator.steps += 1
+        return super().step(token_ids)
+
+    def row_dist(self, history):
+        n = self.copy_source.n_extended
+        p = np.full(n, 0.1 / (n - 1))
+        p[EOS] = 0.9
+        return p
+
+
+@pytest.mark.parametrize("beam_width", [2, 3, 5])
+def test_beam_search_stops_once_no_live_beam_can_win(monkeypatch, beam_width):
+    # after step 1 the finished empty question scores log 0.9; a live beam
+    # holds at most log 0.1 / 8 per token over max_len 8, so the search stops
+    # there, with the output of the clone-per-beam loop that runs all 8 steps
+    monkeypatch.setattr(dec, "Generator", SureEosGenerator)
+    m = make_model(seed=26)
+    example = make_example(m.vocab)
+    SureEosGenerator.steps = 0
+    got = dec.beam_decode(m, example, beam_width=beam_width, max_len=8)
+    assert SureEosGenerator.steps == 1
+    assert got == beam_oracle(m, example, beam_width, 8) == ([], "")
+    assert SureEosGenerator.steps > 1 + 8  # the oracle took every step
 
 
 @pytest.mark.parametrize("beam_width", [1, 2, 3, 5])

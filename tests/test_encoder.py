@@ -5,7 +5,8 @@ import pytest
 
 from kbqgen import autodiff as ad
 from kbqgen import encoder as enc
-from kbqgen.corpus import ContextSet, Fact, KBVocab, SEG_OBJECT, SEG_PREDICATE, SEG_SUBJECT, Vocab
+from kbqgen.corpus import (BOS, EOS, SEG_OBJECT, SEG_PREDICATE, SEG_SUBJECT, ContextSet, Example,
+                           Fact, KBVocab, Vocab)
 from kbqgen.model import Model
 
 
@@ -79,7 +80,8 @@ def test_no_cross_context_state():
             if dropout else None
             for toks, _ in CONTEXTS
         ]
-        handed_out = iter([mask for ctx in masks for mask in ctx] if dropout else ())
+        # one mask per sublayer over all rows: the row-concatenation of the contexts' masks
+        handed_out = iter([np.concatenate(m) for m in zip(*masks)] if dropout else ())
         drop = (lambda shape: next(handed_out)) if dropout else None
         out = enc.encode_contexts(*stacked(CONTEXTS), m.encoder, drop=drop).data
         start = 0
@@ -91,15 +93,19 @@ def test_no_cross_context_state():
 
 def test_dropout_masks_are_asked_context_by_context():
     m = tiny_model(layers=2)
+    ctx = _example_contexts(m.vocab)  # contexts of 2, 1 and 2 tokens
+    question = (BOS, m.vocab.id("w5"), m.vocab.id("w7"), EOS)
+    example = Example(Fact(0, 3, 2), ctx, question, ("w5", "w7"), ("w5", "w7"), ("w8",), None)
     shapes = []
 
     def drop(shape):
         shapes.append(shape)
         return np.ones(shape)
 
-    enc.encode_contexts(*stacked(CONTEXTS), m.encoder, drop=drop)
-    # context-major in order s, p, o; per context, layer by layer, attention then FFN
-    assert shapes == [(2, m.d)] * 4 + [(3, m.d)] * 4 + [(1, m.d)] * 4
+    m.forward_example(example, drop=drop)
+    # context-major in order s, p, o; per context, layer by layer, attention
+    # then FFN; then per decoder layer self-attention, fact attention and FFN
+    assert shapes == [(2, m.d)] * 4 + [(1, m.d)] * 4 + [(2, m.d)] * 4 + [(3, m.d)] * 6
 
 
 def test_empty_context_rejected():
@@ -109,7 +115,7 @@ def test_empty_context_rejected():
     # an empty predicate context would leave its fusion row all -inf
     ctx = ContextSet(("w5",), (), ("w8",), (m.vocab.id("w5"),), (), (m.vocab.id("w8"),))
     with pytest.raises(ad.ContractError, match="at least one token"):
-        enc.augment_fact(Fact(0, 3, 2), ctx, m.kb_emb.value, m.encoder, m.fusion)
+        enc.augment_facts([Fact(0, 3, 2)], [ctx], m.kb_emb.value, m.encoder, m.fusion)
 
 
 def fusion_weights(rng, d, scale=0.5, dtype=np.float64):
@@ -121,7 +127,7 @@ def fusion_weights(rng, d, scale=0.5, dtype=np.float64):
 
 def summaries(h, rows, segments, fusion):
     """The attention summaries c that fusion_forward gates into h."""
-    _, (_scale, _attn, cat, _f, _g) = enc.fusion_forward(h, rows, segments, fusion)
+    _, (_scale, _contexts, _padded, _attn, cat, _f, _g) = enc.fusion_forward(h, rows, segments, fusion)
     return cat[:, : h.shape[1]]
 
 
@@ -212,7 +218,7 @@ def test_gated_fuse_convex_between_f_and_e():
     rng = np.random.default_rng(2)
     h, rows, segments = fusion_inputs(rng, d=8)
     fusion = fusion_weights(rng, 8)
-    out, (_scale, _attn, _cat, f, _g) = enc.fusion_forward(h, rows, segments, fusion)
+    out, (_scale, _contexts, _padded, _attn, _cat, f, _g) = enc.fusion_forward(h, rows, segments, fusion)
     assert np.all(out >= np.minimum(f, h) - 1e-12) and np.all(out <= np.maximum(f, h) + 1e-12)
 
 
@@ -285,11 +291,11 @@ def test_augment_fact_shapes_and_order():
     m = tiny_model()
     fact = Fact(0, 3, 2)
     ctx = _example_contexts(m.vocab)
-    out = enc.augment_fact(fact, ctx, m.kb_emb.value, m.encoder, m.fusion)
+    out = enc.augment_facts([fact], [ctx], m.kb_emb.value, m.encoder, m.fusion)
     assert out.h_f.shape == (3, m.d)
     assert out.context_rows.shape == (5, m.d)
     # without fusion the rows are the raw KB embeddings
-    bare = enc.augment_fact(fact, ctx, m.kb_emb.value, m.encoder, m.fusion, use_fusion=False)
+    bare = enc.augment_facts([fact], [ctx], m.kb_emb.value, m.encoder, m.fusion, use_fusion=False)
     assert np.array_equal(bare.h_f.data, m.kb_emb.value.data[[0, 3, 2]])
 
 
@@ -309,7 +315,7 @@ def test_fusion_path_gradients():
     ]
 
     def f():
-        out = enc.augment_fact(fact, ctx, m.kb_emb.value, m.encoder, m.fusion)
+        out = enc.augment_facts([fact], [ctx], m.kb_emb.value, m.encoder, m.fusion)
         return ad.sum_all(ad.mul(out.h_f, probe))
 
     assert ad.grad_check(f, checked) < 1e-4

@@ -6,6 +6,7 @@ import pytest
 
 from kbqgen import autodiff as ad
 from kbqgen import corpus as cp
+from kbqgen import decoder as dec
 from kbqgen import trainer as tr
 
 
@@ -362,3 +363,114 @@ def test_transe_changes_init(dataset):
     assert not np.array_equal(
         with_transe.registry["kb_emb"].value.data, without.registry["kb_emb"].value.data
     )
+
+
+def batch_grads(model, examples, cfg, chunk, drops=None):
+    """Summed loss and parameter gradients of a split run in recorded batches of `chunk` examples."""
+    model.zero_grads()
+    loss = 0.0
+    for start in range(0, len(examples), chunk):
+        part = slice(start, start + chunk)
+        part_drops = None if drops is None else drops[part]
+        total, breakdowns = tr.batch_loss(model, examples[part], cfg, part_drops)
+        ad.backward(ad.sum_all(total))
+        loss += sum(b.total_loss for b in breakdowns)
+    return loss, {name: p.grad.copy() for name, p in model.registry.items()}
+
+
+def op_nodes(root):
+    """Recorded ops reachable from root (tensors with a backward closure)."""
+    seen, stack = {id(root)}, [root]
+    count = 0
+    while stack:
+        node = stack.pop()
+        count += node._backward is not None
+        for parent in node._parents:
+            if parent.requires_grad and id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return count
+
+
+def test_batch_equals_the_sum_of_its_examples(dataset):
+    # 7 examples of unequal context and question lengths, group counts and
+    # out-of-vocabulary slots, in batches of 3 (3 + 3 + 1) against batches of 1
+    cfg = desk_config(dropout=0.1, layers=2, lam=0.5)
+    examples = dataset.examples("train")[:7]
+    sources = [dec.CopySource(ex.contexts, dataset.vocab) for ex in examples]
+    assert len({len(ex.question) for ex in examples}) > 1
+    assert len({len(ex.contexts.predicate_ids) for ex in examples}) > 1
+    assert len({len(s.groups) for s in sources}) > 1 and len({s.n_oov for s in sources}) > 1
+    model = tr.build_model(cfg, dataset)
+    drops = lambda: [tr._dropout(cfg, 0, idx) for idx in range(len(examples))]
+    batched_loss, batched = batch_grads(model, examples, cfg, 3, drops())
+    alone_loss, alone = batch_grads(model, examples, cfg, 1, drops())
+    assert batched_loss == pytest.approx(alone_loss, rel=1e-12)
+    for name, g in alone.items():
+        atol = 1e-12 * np.abs(g).max()
+        np.testing.assert_allclose(batched[name], g, rtol=1e-12, atol=atol, err_msg=name)
+
+
+def test_op_nodes_per_batch_do_not_grow_with_its_size(dataset):
+    cfg = desk_config(dropout=0.1)
+    examples = dataset.examples("train")
+    counts = []
+    for size in (1, 16):
+        drops = [tr._dropout(cfg, 0, idx) for idx in range(size)]
+        total, _ = tr.batch_loss(tr.build_model(cfg, dataset), examples[:size], cfg, drops)
+        counts.append(op_nodes(ad.sum_all(total)))
+    assert counts[0] == counts[1]
+
+
+def test_pads_leave_the_other_examples_unchanged(dataset):
+    # a longer example (question, predicate context, copy groups) pads the
+    # batch's other rows; their per-example losses stay put
+    cfg = desk_config(dropout=0.1, layers=2)
+    examples = dataset.examples("train")
+    short = [ex for ex in examples if len(ex.question) == 7][:3]
+    longer = next(ex for ex in examples if len(ex.question) > 7)
+    assert len(longer.contexts.predicate_ids) > max(len(ex.contexts.predicate_ids) for ex in short)
+    model = tr.build_model(cfg, dataset)
+
+    def losses(batch):
+        drops = [tr._dropout(cfg, 0, idx) for idx in range(len(batch))]
+        total, breakdowns = tr.batch_loss(model, batch, cfg, drops)
+        assert np.all(np.isfinite(total.data))
+        return [(b.ques_loss, b.ans_loss, b.argmin_pair) for b in breakdowns]
+
+    alone, padded = losses(short), losses(short + [longer])[:3]
+    for (q, a, pair), (q2, a2, pair2) in zip(alone, padded):
+        assert q2 == pytest.approx(q, rel=1e-12) and a2 == pytest.approx(a, rel=1e-12) and pair2 == pair
+
+
+def test_training_runs_a_partial_last_batch(dataset):
+    # 26 examples in batches of 5: the last batch holds one
+    cfg = desk_config(epochs=1, batch_size=5, dropout=0.1)
+    result = tr.train(cfg, dataset)
+    assert not result.aborted and math.isfinite(result.history[0][1])
+
+
+def test_gradient_check_on_a_two_example_batch():
+    # the gradcheck fixture's example plus one of other context, question and
+    # copy-group lengths, with an out-of-vocabulary context token
+    from kbqgen.cli import _gradcheck_fixture
+
+    cfg = tr.TrainConfig(d=8, heads=2, layers=1, lam=0.2, seed=0).validate()
+    model, first = _gradcheck_fixture(cfg)
+    vocab = model.vocab
+    words = (("w6", "w7"), ("w8",), ("w9", "w10", "zz", "w9"))
+    contexts = cp.ContextSet(*words, *(tuple(vocab.id(t) for t in ctx) for ctx in words))
+    question = ("w8", "<subj>", "w10", "zz", "w7", "w9", "?")
+    second = cp.Example(
+        fact=cp.Fact(1, 3, 0), contexts=contexts,
+        question=(cp.BOS,) + tuple(vocab.id(t) for t in question) + (cp.EOS,),
+        question_words=question, raw_question_words=question,
+        answer_type_words=("w10", "w9", "zz"), subject_span=None,
+    )
+    assert len(second.question) != len(first.question)
+
+    def f():
+        total, _ = tr.batch_loss(model, [first, second], cfg)
+        return ad.sum_all(total)
+
+    assert ad.grad_check(f, model.parameters(), eps=1e-5) < 1e-4

@@ -146,15 +146,16 @@ class CopyBatch:
         """A CopyBatch as given, or a CopySource as a batch of one."""
         return copy if isinstance(copy, CopyBatch) else CopyBatch([copy])
 
+    def _steps(self, n_rows):
+        return [n_rows] if self.steps is None else self.steps
+
     def rows(self, n_rows):
         """The decoder rows as query sequences, one per example."""
-        return ad.Sequences([n_rows] if self.steps is None else self.steps)
+        return ad.Sequences(self._steps(n_rows))
 
     def columns(self, n_rows):
         """The index of each row's copy groups in the extended vocabulary: ``dist[index]`` is [n, G]."""
-        if self.steps is None:
-            return slice(None), self.group_ext_ids[0]
-        example = np.repeat(np.arange(len(self.steps)), self.steps)
+        example = np.repeat(np.arange(len(self.sources)), self._steps(n_rows))
         return np.arange(n_rows)[:, None], self.group_ext_ids[example]
 
 
@@ -273,10 +274,8 @@ def context_copy_forward(s, keys, copy):
 
 def _grouped(scores, index):
     """Scores [B, T, L] at each group's positions, index [B, G, W] -> [B, T, G, W]."""
-    b, g, w = index.shape
-    if b == 1:
-        return scores[:, :, index[0]]
-    return np.take_along_axis(scores, index.reshape(b, 1, g * w), axis=2).reshape(b, -1, g, w)
+    # the two index arrays around the slice put their axes first: [B, G, W, T]
+    return scores[np.arange(len(index))[:, None, None], :, index].transpose(0, 3, 1, 2)
 
 
 def context_copy_distribution(states, context_rows, copy, params):

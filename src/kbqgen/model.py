@@ -5,7 +5,7 @@ wires the shared word-embedding table across encoder input, decoder input
 and output logits, and provides the teacher-forced forward pass whose step
 distributions feed the objective directly. The forward pass takes a batch
 of examples and records one graph for all of them; one example is a batch
-of one.
+of one, through the same ``forward_example``.
 """
 
 from __future__ import annotations
@@ -181,19 +181,27 @@ class Model:
         dec_iter = iter([np.concatenate(m) for m in dec_masks])
         return (lambda shape: next(enc_iter)), (lambda shape: next(dec_iter))
 
-    def forward_batch(self, examples, drops=None):
-        """Teacher-forced step distributions for a batch, as one recorded graph.
+    def forward_example(self, example, drop=None):
+        """Teacher-forced step distributions, as one recorded graph.
 
-        ``drops`` holds one dropout mask source per example, or is None for
-        no dropout. The returned distributions are the exact tensors the
-        objective consumes; gold tokens are already mapped into each
-        example's extended vocabulary (a gold word present in the contexts
-        scores the mixture mass on that shared symbol).
+        ``example`` is one example, or a list of examples run as one batch;
+        ``drop`` is then one dropout mask source, or a list with one per
+        example, or None for no dropout. A list gives a BatchForward and one
+        example a ForwardResult, built by the same graph as a batch of one.
+        The distributions are the exact tensors the objective consumes;
+        gold tokens are already mapped into each example's extended
+        vocabulary (a gold word present in the contexts scores the mixture
+        mass on that shared symbol).
         """
+        if not isinstance(example, list):
+            out = self.forward_example([example], None if drop is None else [drop])
+            return ForwardResult(out.distributions, out.modes, out.copy.sources[0],
+                                 out.gold_ext_ids, out.answer_ext_ids[0])
+        examples = example
         sources = [dec.CopySource(ex.contexts, self.vocab) for ex in examples]
         steps = [len(ex.question) - 1 for ex in examples]
         copy = dec.CopyBatch(sources, steps)
-        enc_drop, dec_drop = self._dropout_masks(examples, drops)
+        enc_drop, dec_drop = self._dropout_masks(examples, drop)
         fact_enc = self.encode_facts(examples, drop=enc_drop)
         input_ids = [t for ex in examples for t in ex.question[:-1]]
         states = dec.decode_states(input_ids, fact_enc.h_f, self.decoder, drop=dec_drop, steps=steps)
@@ -208,9 +216,3 @@ class Model:
         answer_ext = [[src.extended_id(tok) for tok in ex.answer_type_words]
                       for ex, src in zip(examples, sources)]
         return BatchForward(distributions, modes, copy, steps, gold_ext, answer_ext)
-
-    def forward_example(self, example, drop=None):
-        """forward_batch of one example, with that example's bookkeeping."""
-        out = self.forward_batch([example], None if drop is None else [drop])
-        return ForwardResult(out.distributions, out.modes, out.copy.sources[0],
-                             out.gold_ext_ids, out.answer_ext_ids[0])

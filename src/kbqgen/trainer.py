@@ -335,7 +335,7 @@ def build_model(config, dataset, kb_matrix=None):
 
 def batch_loss(model, examples, config, drops=None):
     """Per-example total losses [B, 1] from one recorded graph, plus a breakdown per example."""
-    result = model.forward_batch(examples, drops)
+    result = model.forward_example(list(examples), drops)
     ques = obj.question_loss(result.distributions, result.gold_ext_ids, steps=result.steps)
     q = ques.data[:, 0].tolist()
     if config.question_only:

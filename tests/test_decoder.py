@@ -410,10 +410,10 @@ def test_teacher_forced_distributions_feed_objective_unchanged(monkeypatch):
 
     m = make_model(seed=20)
     example = make_example(m.vocab)
-    result = m.forward_batch([example])
+    result = m.forward_example([example])
     before = result.distributions.data.tobytes()
     # the training loss reads exactly these distributions
-    monkeypatch.setattr(m, "forward_batch", lambda examples, drops=None: result)
+    monkeypatch.setattr(m, "forward_example", lambda examples, drops=None: result)
     total, breakdown = tr.example_loss(m, example, tr.TrainConfig(lam=0.2))
     assert result.distributions.data.tobytes() == before
     assert breakdown.argmin_pair is not None

@@ -413,7 +413,7 @@ def test_teacher_forced_distributions_feed_objective_unchanged(monkeypatch):
     result = m.forward_example([example])
     before = result.distributions.data.tobytes()
     # the training loss reads exactly these distributions
-    monkeypatch.setattr(m, "forward_example", lambda examples, drops=None: result)
+    monkeypatch.setattr(m, "forward_example", lambda examples, drop=None: result)
     total, breakdown = tr.example_loss(m, example, tr.TrainConfig(lam=0.2))
     assert result.distributions.data.tobytes() == before
     assert breakdown.argmin_pair is not None

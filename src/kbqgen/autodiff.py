@@ -351,10 +351,6 @@ def _add_norm_backward(g, w, mask, xhat, s):
     return dz, dz if mask is None else dz * mask
 
 
-def _drop_mask(drop, x):
-    return None if drop is None else drop(x.data.shape).astype(x.data.dtype, copy=False)
-
-
 class Sequences:
     """Rows of S sequences packed back to back, and their padded [S, T] layout.
 
@@ -459,18 +455,17 @@ def attention_forward(x, K, V, w, n_heads, layout=None, mask=None):
     return out, (scale_factor, Qp, Kp, Vp, heads, attn, norm)
 
 
-def attention_block(x, kv, w, n_heads, layout=None, drop=None):
+def attention_block(x, kv, w, n_heads, layout=None, mask=None):
     """Recorded attention sublayer: Q/K/V projections, per-head attention,
     output projection, dropout, residual and layer norm as one op.
 
     kv [m,d] supplies keys and values; it is x itself for self-attention.
-    ``layout`` is attention_forward's split into sequences.
-    ``drop(shape)`` hands out the dropout mask; None means no dropout.
+    ``layout`` is attention_forward's split into sequences. ``mask`` is the
+    [n,d] dropout mask in x's dtype; None means no dropout.
     """
     wq, wk, wv, wo = w.wq.value, w.wk.value, w.wv.value, w.wo.value
     K = kv.data @ wk.data
     V = kv.data @ wv.data
-    mask = _drop_mask(drop, x)
     layout = layout or WHOLE
     out, (scale_factor, Qp, Kp, Vp, heads, attn, norm) = attention_forward(
         x.data, K, V, w, n_heads, layout, mask
@@ -503,10 +498,9 @@ def ffn_forward(x, w, mask=None):
     return out, (pre, hidden, norm)
 
 
-def ffn_block(x, w, drop=None):
+def ffn_block(x, w, mask=None):
     """Recorded feed-forward sublayer: both matmuls with biases, ReLU,
-    dropout, residual and layer norm as one op."""
-    mask = _drop_mask(drop, x)
+    dropout under ``mask``, residual and layer norm as one op."""
     out, (pre, _, norm) = ffn_forward(x.data, w, mask)  # the sweep recomputes ReLU(pre)
 
     def bwd(g):

@@ -96,7 +96,7 @@ def cmd_eval(args):
         raise tr.ConfigError(f"--annotation-size must be >= 0, got {args.annotation_size}")
     dataset = cp.load_dataset(args.data_dir)
     examples = dataset.examples(args.split)
-    lines = Path(args.generations).read_text(encoding="utf-8").splitlines()
+    lines = cp.read_utf8(args.generations).splitlines()
     if len(lines) != len(examples):
         raise cp.IngestionError(
             f"{args.generations}: {len(lines)} lines for {len(examples)} {args.split} examples"

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import io
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
@@ -167,15 +168,19 @@ class KBVocab:
         return len(self._tokens)
 
 
-def _tsv_rows(path, n_cols):
-    """Yield (line number, columns) for each non-blank line of a UTF-8 TSV file."""
+def read_utf8(path):
+    """The whole text of a UTF-8 file; a bad byte is an IngestionError naming its line."""
     data = Path(path).read_bytes()
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise IngestionError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from None
-    for lineno, line in enumerate(io.StringIO(text, newline=None), 1):
+
+
+def _tsv_rows(path, n_cols):
+    """Yield (line number, columns) for each non-blank line of a UTF-8 TSV file."""
+    for lineno, line in enumerate(io.StringIO(read_utf8(path), newline=None), 1):
         if not line.strip():
             continue
         cols = line.rstrip("\n").split("\t")
@@ -448,9 +453,13 @@ def synth_corpus(seed, n_entities, n_predicates, n_facts):
     predicates additionally mention the object's refined type word, so the
     answer-aware loss has headroom on the odd half. Roughly 40% of
     predicates carry DS patterns, the rest rely on domain/range/topic.
+    Sizes that cannot give such a corpus are an IngestionError.
     """
     if min(n_entities, n_predicates, n_facts) < 1:
-        raise ValueError("synth_corpus sizes must be >= 1")
+        raise IngestionError("synth sizes must be >= 1")
+    n_names = len(_NAME_FIRST) * (len(_NAME_SECOND) + 1)  # two-word names plus one-word ones
+    if n_entities > n_names:
+        raise IngestionError(f"synth has {n_names} distinct entity names, got {n_entities} entities")
     rng = Random(seed)
 
     # ~6 entities per type keeps enough distinct (subject, object) pairs
@@ -552,24 +561,24 @@ def synth_corpus(seed, n_entities, n_predicates, n_facts):
     n_valid = max(1, round(n_total * 0.15))
     n_test = max(1, round(n_total * 0.15))
     n_train = n_total - n_valid - n_test
-    if n_train < 1:
-        raise ValueError("corpus too small to split")
+    n_used = len({row[1] for row in fact_rows})
+    if n_train < n_used:
+        # the draw stops short of n_facts when few distinct triples exist
+        raise IngestionError(
+            f"synth drew {n_total} distinct facts over {n_used} predicates: too few to hold one "
+            "fact per predicate in train plus a valid and a test fact"
+        )
     train = fact_rows[:n_train]
     held = fact_rows[n_train:]
 
-    # every predicate must be seen in training; swap held-out rows in if not
-    train_preds = {row[1] for row in train}
-    counts = {}
-    for row in train:
-        counts[row[1]] = counts.get(row[1], 0) + 1
+    # every predicate must be seen in training; swap held-out rows in if not.
+    # With n_train >= n_used, a train predicate with two rows is always left
+    counts = Counter(row[1] for row in train)
     for i, row in enumerate(held):
-        if row[1] not in train_preds:
-            k = next(
-                k for k, r in enumerate(train) if counts[r[1]] > 1
-            )
+        if not counts[row[1]]:
+            k = next(k for k, r in enumerate(train) if counts[r[1]] > 1)
             counts[train[k][1]] -= 1
-            counts[row[1]] = counts.get(row[1], 0) + 1
-            train_preds.add(row[1])
+            counts[row[1]] += 1
             train[k], held[i] = held[i], train[k]
 
     splits = {

@@ -159,14 +159,16 @@ class CopyBatch:
         return np.arange(n_rows)[:, None], self.group_ext_ids[example]
 
 
-def decode_states(prev_ids, h_f, params, drop=None, steps=None):
+def decode_states(prev_ids, h_f, params, masks=None, steps=None):
     """All decoder states for teacher-forced prefixes stacked as rows; [sum T, d].
 
     ``steps`` gives each question's row count (default: one question), and
     h_f holds three fact rows per question. Each prefix must start with
     BOS. Self-attention is causal within each question: a -inf bias on
     later rows makes row t depend only on its question's tokens up to t, so
-    appending tokens changes earlier rows by rounding at most.
+    appending tokens changes earlier rows by rounding at most. ``masks``
+    holds one [sum T, d] dropout mask per sublayer, per layer
+    self-attention, fact attention and FFN; None means no dropout.
     """
     if len(prev_ids) == 0:
         raise ad.ContractError("decode_states needs at least the BOS token")
@@ -185,10 +187,12 @@ def decode_states(prev_ids, h_f, params, drop=None, steps=None):
     )
     causal = ad.layout(steps, causal=True)
     to_fact = ad.layout(steps, [3] * len(steps))
-    for layer in params.layers:
-        x = ad.attention_block(x, x, layer.self_attn, params.n_heads, layout=causal, drop=drop)
-        x = ad.attention_block(x, h_f, layer.fact_attn, params.n_heads, layout=to_fact, drop=drop)
-        x = ad.ffn_block(x, layer.ffn, drop=drop)
+    for i, layer in enumerate(params.layers):
+        self_mask, fact_mask, ffn_mask = masks[3 * i : 3 * i + 3] if masks else (None,) * 3
+        x = ad.attention_block(x, x, layer.self_attn, params.n_heads, layout=causal, mask=self_mask)
+        x = ad.attention_block(x, h_f, layer.fact_attn, params.n_heads, layout=to_fact,
+                               mask=fact_mask)
+        x = ad.ffn_block(x, layer.ffn, mask=ffn_mask)
     return x
 
 

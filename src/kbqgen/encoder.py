@@ -13,7 +13,6 @@ own context padded to the longest (``ad.Sequences``).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -54,21 +53,16 @@ class AugmentedFact:
     context_rows: ad.Tensor  # [sum of |s|+|p|+|o|, d], each fact's in copy-source order
 
 
-def context_lengths(segment_ids):
-    """Row counts of the runs of equal segment ids: one run per context."""
-    return [len(list(run)) for _, run in itertools.groupby(segment_ids)]
-
-
-def encode_contexts(token_ids, segment_ids, params, drop=None):
+def encode_contexts(token_ids, segment_ids, lengths, params, masks=None):
     """Encode stacked contexts in one pass: token+segment embeddings through
     L self-attention layers with residual layer norms around both sub-layers.
 
-    Each run of equal ``segment_ids`` is one context and one attention
-    sequence, so each context's rows equal that context encoded alone, up to
+    ``lengths`` gives each context's row count; each context is one
+    attention sequence, so its rows equal that context encoded alone, up to
     rounding. There is deliberately no position embedding: permuting a
-    context's tokens permutes its output rows and nothing else.
-    ``drop(shape)`` is asked for one [n, d] mask over all rows per sublayer,
-    layer by layer, attention before FFN.
+    context's tokens permutes its output rows and nothing else. ``masks``
+    holds one [n, d] dropout mask over all rows per sublayer, layer by
+    layer, attention before FFN; None means no dropout.
     """
     if len(token_ids) == 0:
         raise ad.ContractError("encode_contexts needs at least one token")
@@ -76,10 +70,11 @@ def encode_contexts(token_ids, segment_ids, params, drop=None):
         ad.gather(params.word_emb.value, list(token_ids)),
         ad.gather(params.seg_emb.value, segment_ids),
     )
-    within = ad.layout(context_lengths(segment_ids))
-    for layer in params.layers:
-        x = ad.attention_block(x, x, layer.attn, params.n_heads, layout=within, drop=drop)
-        x = ad.ffn_block(x, layer.ffn, drop=drop)
+    within = ad.layout(lengths)
+    for i, layer in enumerate(params.layers):
+        attn_mask, ffn_mask = masks[2 * i : 2 * i + 2] if masks else (None, None)
+        x = ad.attention_block(x, x, layer.attn, params.n_heads, layout=within, mask=attn_mask)
+        x = ad.ffn_block(x, layer.ffn, mask=ffn_mask)
     return x
 
 
@@ -93,16 +88,16 @@ def _sigmoid(x):
     return out
 
 
-def fusion_forward(h, rows, segment_ids, fusion):
+def fusion_forward(h, rows, lengths, fusion):
     """Fusion kernel on arrays: g*tanh(W_f [c;h]) + (1-g)*h, g = sigmoid(W_g [c;h]).
 
     h [n,d] holds the atoms' KB rows; rows [L,d] stacks their contexts in
-    atom order, and ``segment_ids[j]`` is the atom whose context holds row
-    j. c is each atom's attention summary of its own context, padded to the
-    longest with -inf scores on the pads. Returns (out, saved).
+    atom order, ``lengths[i]`` rows for atom i. c is each atom's attention
+    summary of its own context, padded to the longest with -inf scores on
+    the pads. Returns (out, saved).
     """
     scale_factor = 1.0 / math.sqrt(h.shape[1])
-    contexts = ad.Sequences(np.bincount(segment_ids, minlength=len(h)))
+    contexts = ad.Sequences(lengths)
     R = contexts.pad(rows)  # [n, T, d]
     scores = (R @ h[:, :, None])[:, :, 0] * scale_factor
     if np.isnan(scores).any():
@@ -116,12 +111,12 @@ def fusion_forward(h, rows, segment_ids, fusion):
     return g * f + (1.0 - g) * h, (scale_factor, contexts, R, attn, cat, f, g)
 
 
-def fuse(h_f, context_rows, segment_ids, fusion):
+def fuse(h_f, context_rows, lengths, fusion):
     """Recorded fusion: per-atom context attention and the gated unit as one op."""
     w_f, w_g = fusion.w_f.value, fusion.w_g.value
     h = h_f.data
     out, (scale_factor, contexts, R, attn, cat, f, g) = fusion_forward(
-        h, context_rows.data, segment_ids, fusion)
+        h, context_rows.data, lengths, fusion)
     d = h.shape[1]
 
     def bwd(grad):
@@ -141,23 +136,23 @@ def fuse(h_f, context_rows, segment_ids, fusion):
 
 
 def augment_facts(facts, context_sets, kb_table, enc_params, fusion_params, use_fusion=True,
-                  drop=None):
+                  masks=None):
     """Encode every fact's three contexts in one pass, fuse each with its KB
     embedding, and stack three rows per fact.
 
     With ``use_fusion`` off the fact rows are the bare KB embeddings (the
     ablated encoder); context rows are still produced for the copier.
-    ``drop`` is encode_contexts' per-sublayer mask source.
+    ``masks`` are encode_contexts' per-sublayer dropout masks.
     """
-    for contexts in context_sets:
-        if not (contexts.subject_ids and contexts.predicate_ids and contexts.object_ids):
-            raise ad.ContractError("each context needs at least one token, or its fusion row is NaN")
+    lengths = [len(ids) for c in context_sets
+               for ids in (c.subject_ids, c.predicate_ids, c.object_ids)]
+    if 0 in lengths:
+        raise ad.ContractError("each context needs at least one token, or its fusion row is NaN")
     token_ids = [t for c in context_sets for t in c.subject_ids + c.predicate_ids + c.object_ids]
     segment_ids = [s for c in context_sets for s in c.segment_ids]
-    context_rows = encode_contexts(token_ids, segment_ids, enc_params, drop=drop)
+    context_rows = encode_contexts(token_ids, segment_ids, lengths, enc_params, masks)
     atoms = [a for f in facts for a in (f.subject, f.predicate, f.object)]
     h_f = ad.gather(kb_table, atoms)
     if use_fusion:
-        atom_of_row = np.repeat(np.arange(len(atoms)), context_lengths(segment_ids))
-        h_f = fuse(h_f, context_rows, atom_of_row, fusion_params)
+        h_f = fuse(h_f, context_rows, lengths, fusion_params)
     return AugmentedFact(h_f=h_f, context_rows=context_rows)

@@ -5,7 +5,8 @@ wires the shared word-embedding table across encoder input, decoder input
 and output logits, and provides the teacher-forced forward pass whose step
 distributions feed the objective directly. The forward pass takes a batch
 of examples and records one graph for all of them; one example is a batch
-of one, through the same ``forward_example``.
+of one, through the same ``forward_example``. Dropout is decided here: the
+layers get one mask array per sublayer, stacked from the examples' masks.
 """
 
 from __future__ import annotations
@@ -148,23 +149,24 @@ class Model:
         for p in self.registry.values():
             p.zero_grad()
 
-    def encode_facts(self, examples, drop=None):
+    def encode_facts(self, examples, masks=None):
         return enc.augment_facts(
             [ex.fact for ex in examples], [ex.contexts for ex in examples], self.kb_emb.value,
-            self.encoder, self.fusion, use_fusion=self.use_fusion, drop=drop,
+            self.encoder, self.fusion, use_fusion=self.use_fusion, masks=masks,
         )
 
     def encode_fact(self, example):
         return self.encode_facts([example])
 
     def _dropout_masks(self, examples, drops):
-        """Per-sublayer mask sources for the encoder and the decoder, or (None, None).
+        """One dropout mask per encoder and per decoder sublayer, or (None, None).
 
         Each example's ``drop(shape)`` is asked for its masks in the shapes
         and order of that example run alone: its three contexts in turn, each
         layer by layer with attention before FFN, then per decoder layer
         self-attention, fact attention and FFN over its question rows. Each
-        batched sublayer applies the row-concatenation of its examples' masks.
+        batched sublayer's mask is the row-concatenation of its examples'
+        masks, in the model's dtype.
         """
         if drops is None:
             return None, None
@@ -177,9 +179,9 @@ class Model:
                     masks.append(drop((n, self.d)))
             for masks in dec_masks:
                 masks.append(drop((len(ex.question) - 1, self.d)))
-        enc_iter = iter([np.concatenate(m) for m in enc_masks])
-        dec_iter = iter([np.concatenate(m) for m in dec_masks])
-        return (lambda shape: next(enc_iter)), (lambda shape: next(dec_iter))
+        dtype = self.kb_emb.value.data.dtype
+        return ([np.concatenate(m).astype(dtype, copy=False) for m in enc_masks],
+                [np.concatenate(m).astype(dtype, copy=False) for m in dec_masks])
 
     def forward_example(self, example, drop=None):
         """Teacher-forced step distributions, as one recorded graph.
@@ -201,10 +203,10 @@ class Model:
         sources = [dec.CopySource(ex.contexts, self.vocab) for ex in examples]
         steps = [len(ex.question) - 1 for ex in examples]
         copy = dec.CopyBatch(sources, steps)
-        enc_drop, dec_drop = self._dropout_masks(examples, drop)
-        fact_enc = self.encode_facts(examples, drop=enc_drop)
+        enc_masks, dec_masks = self._dropout_masks(examples, drop)
+        fact_enc = self.encode_facts(examples, masks=enc_masks)
         input_ids = [t for ex in examples for t in ex.question[:-1]]
-        states = dec.decode_states(input_ids, fact_enc.h_f, self.decoder, drop=dec_drop, steps=steps)
+        states = dec.decode_states(input_ids, fact_enc.h_f, self.decoder, masks=dec_masks, steps=steps)
         prev_emb = ad.gather(self.decoder.word_emb.value, input_ids)
         distributions, modes = dec.step_distributions(
             states, prev_emb, fact_enc, copy, self.decoder,

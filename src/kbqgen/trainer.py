@@ -11,6 +11,7 @@ over its examples run alone, up to rounding.
 from __future__ import annotations
 
 import hashlib
+import io
 import math
 from dataclasses import dataclass, fields, replace
 from random import Random
@@ -23,6 +24,7 @@ from . import kbembed
 from . import metrics
 from . import objective as obj
 from . import textckpt
+from .corpus import read_utf8
 from .model import Model
 from .textckpt import ConfigError
 
@@ -114,10 +116,7 @@ def parse_config(path=None, text=None, overrides=None):
     explicitly. Explicit keys and overrides always win.
     """
     if text is None:
-        text = ""
-        if path is not None:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
+        text = "" if path is None else read_utf8(path)
     known = {f.name: f for f in fields(TrainConfig)}
     seen = {}
 
@@ -272,30 +271,27 @@ def load_word_vectors(path, vocab, d):
     One token per line, then d whitespace-separated decimals. Lines with
     fewer than two fields and rows for tokens outside `vocab` are skipped
     unread; an in-vocabulary row that is not exactly d finite numbers is
-    refused with a ConfigError naming the file and line.
+    refused with a ConfigError naming the file and line, and a file that is
+    not UTF-8 with read_utf8's IngestionError.
     """
     vectors = {}
-    with open(path, encoding="utf-8") as fh:
-        try:
-            for lineno, line in enumerate(fh, 1):
-                parts = line.split()
-                if len(parts) < 2 or parts[0] not in vocab:
-                    continue
-                token = parts[0]
-                where = f"{path}:{lineno}: vector for {token!r}"
-                vec = []
-                for x in parts[1:]:
-                    try:
-                        vec.append(float(x))
-                    except ValueError:
-                        raise ConfigError(f"{where}: not a number: {x!r}") from None
-                if len(vec) != d:
-                    raise ConfigError(f"{where}: has {len(vec)} numbers, expected d={d}")
-                if not all(map(math.isfinite, vec)):
-                    raise ConfigError(f"{where}: non-finite value")
-                vectors[token] = vec
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    for lineno, line in enumerate(io.StringIO(read_utf8(path), newline=None), 1):
+        parts = line.split()
+        if len(parts) < 2 or parts[0] not in vocab:
+            continue
+        token = parts[0]
+        where = f"{path}:{lineno}: vector for {token!r}"
+        vec = []
+        for x in parts[1:]:
+            try:
+                vec.append(float(x))
+            except ValueError:
+                raise ConfigError(f"{where}: not a number: {x!r}") from None
+        if len(vec) != d:
+            raise ConfigError(f"{where}: has {len(vec)} numbers, expected d={d}")
+        if not all(map(math.isfinite, vec)):
+            raise ConfigError(f"{where}: non-finite value")
+        vectors[token] = vec
     return vectors
 
 
@@ -420,7 +416,6 @@ def train(config, dataset, kb_matrix=None, resume=None, log=None):
         diverged = False
         for batch_start in range(0, len(order), config.batch_size):
             batch = order[batch_start : batch_start + config.batch_size]
-            model.zero_grads()
             for chunk_start in range(0, len(batch), CHUNK):
                 chunk = batch[chunk_start : chunk_start + CHUNK]
                 drops = [_dropout(config, epoch, idx) for idx in chunk] if config.dropout > 0 else None

@@ -287,11 +287,10 @@ def test_multihead_attention_gradients(causal):
     for n in (3, 10):
         x = ad.Parameter("x", rng.normal(size=(n, d)))
         for mask in (None, dropout_mask(rng, (n, d))):
-            drop = None if mask is None else (lambda shape, m=mask: m)
 
             def f():
                 out = ad.attention_block(x.value, x.value, w, 2,
-                                         layout=causal_layout(n) if causal else None, drop=drop)
+                                         layout=causal_layout(n) if causal else None, mask=mask)
                 return weighted_sum(out)
 
             assert check_op(f, [x] + sublayer_params(w)) < 1e-4
@@ -304,10 +303,9 @@ def test_multihead_attention_cross_gradients():
     kv = ad.Parameter("kv", rng.normal(size=(2, d)))
     w = attention_weights(rng, d)
     for mask in (None, dropout_mask(rng, (3, d))):
-        drop = None if mask is None else (lambda shape, m=mask: m)
 
         def f():
-            return weighted_sum(ad.attention_block(x.value, kv.value, w, 2, drop=drop))
+            return weighted_sum(ad.attention_block(x.value, kv.value, w, 2, mask=mask))
 
         assert check_op(f, [x, kv] + sublayer_params(w)) < 1e-4
 
@@ -319,10 +317,9 @@ def test_ffn_block_gradients(masked):
     x = ad.Parameter("x", rng.normal(size=(3, d)))
     w = ffn_weights(rng, d)
     mask = dropout_mask(rng, (3, d)) if masked else None
-    drop = None if mask is None else (lambda shape: mask)
 
     def f():
-        return weighted_sum(ad.ffn_block(x.value, w, drop=drop))
+        return weighted_sum(ad.ffn_block(x.value, w, mask=mask))
 
     assert check_op(f, [x] + sublayer_params(w)) < 1e-4
 
@@ -389,11 +386,10 @@ def test_sublayer_forward_matches_numpy_composition(case, masked):
     x = rng.normal(size=(n, d))
     kv = rng.normal(size=(4, d)) if case == "cross" else x
     mask = dropout_mask(rng, (n, d)) if masked else None
-    drop = None if mask is None else (lambda shape: mask)
     if case == "ffn":
         w = ffn_weights(rng, d)
         expected = numpy_ffn(x, w, mask)
-        recorded = ad.ffn_block(ad.tensor(x), w, drop=drop).data
+        recorded = ad.ffn_block(ad.tensor(x), w, mask=mask).data
         kernel, _ = ad.ffn_forward(x, w, mask)
     else:
         w = attention_weights(rng, d)
@@ -401,7 +397,7 @@ def test_sublayer_forward_matches_numpy_composition(case, masked):
         expected = numpy_attention(x, kv, w, heads, case == "causal", mask)
         kv_t = ad.tensor(kv)
         recorded = ad.attention_block(
-            kv_t if kv is x else ad.tensor(x), kv_t, w, heads, layout=layout, drop=drop
+            kv_t if kv is x else ad.tensor(x), kv_t, w, heads, layout=layout, mask=mask
         ).data
         K, V = kv @ w.wk.value.data, kv @ w.wv.value.data
         kernel, _ = ad.attention_forward(x, K, V, w, heads, layout=layout, mask=mask)

@@ -78,6 +78,22 @@ def test_malformed_word_vectors_is_exit_2(tmp_path, data_dir, capsys, row):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("kind", ["config", "word-vectors", "generations"])
+def test_non_utf8_text_input_is_exit_2(tmp_path, data_dir, capsys, kind):
+    bad = tmp_path / "input.txt"
+    bad.write_bytes(b"epochs=1\nd=16 \xe9\n")  # a Latin-1 byte on line 2
+    out = tmp_path / "out"
+    argv = {
+        "config": ("train", "--config", bad, "--data-dir", data_dir, "--out-dir", out),
+        "word-vectors": ("train", "--data-dir", data_dir, "--out-dir", out,
+                         "--set", "epochs=0", "--set", f"word_vectors={bad}"),
+        "generations": ("eval", "--generations", bad, "--data-dir", data_dir, "--out", out),
+    }[kind]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}:2: not UTF-8 text (") and err.count("\n") == 1
+
+
 def test_generate_reads_no_word_vector_file(tmp_path, data_dir):
     vec_path = tmp_path / "vectors.txt"
     vec_path.write_text("what" + " 0.25" * 16 + "\n", encoding="utf-8")
@@ -109,6 +125,23 @@ def test_out_of_range_config_integer_is_exit_2(tmp_path, data_dir, capsys, argv,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert problem in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("sizes, problem", [
+    pytest.param(("--entities", 0), "sizes must be >= 1", id="no-entities"),
+    pytest.param(("--facts", 1), "drew 1 distinct facts over 1 predicates", id="one-fact"),
+    # two entities allow only three distinct triples, one per predicate
+    pytest.param(("--entities", 2, "--predicates", 3, "--facts", 5),
+                 "drew 3 distinct facts over 3 predicates", id="train-cannot-cover"),
+    # 10 x 10 two-word names plus 10 one-word names
+    pytest.param(("--entities", 111), "110 distinct entity names, got 111", id="names-run-out"),
+])
+def test_impossible_synth_sizes_are_exit_2(tmp_path, capsys, sizes, problem):
+    assert run("synth", *sizes, "--out-dir", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: synth ") and err.count("\n") == 1
+    assert problem in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_data_is_runtime_error(tmp_path):

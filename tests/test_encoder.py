@@ -18,11 +18,11 @@ def tiny_model(seed=0, d=8, heads=2, layers=1, **kwargs):
 
 def test_single_token_attends_to_itself():
     m = tiny_model()
-    out = enc.encode_contexts([5], [SEG_SUBJECT], m.encoder)
+    out = enc.encode_contexts([5], [SEG_SUBJECT], [1], m.encoder)
     assert out.shape == (1, m.d)
     # with one token the self-attention convexly = that token; spot-check
     # by removing attention influence: two different tokens give different rows
-    out2 = enc.encode_contexts([6], [SEG_SUBJECT], m.encoder)
+    out2 = enc.encode_contexts([6], [SEG_SUBJECT], [1], m.encoder)
     assert not np.allclose(out.data, out2.data)
 
 
@@ -31,31 +31,30 @@ def test_permutation_equivariance():
     m = tiny_model(layers=2)
     ids = [5, 6, 7, 8]
     perm = [2, 0, 3, 1]
-    out = enc.encode_contexts(ids, [SEG_SUBJECT] * 4, m.encoder)
-    out_perm = enc.encode_contexts([ids[i] for i in perm], [SEG_SUBJECT] * 4, m.encoder)
+    out = enc.encode_contexts(ids, [SEG_SUBJECT] * 4, [4], m.encoder)
+    out_perm = enc.encode_contexts([ids[i] for i in perm], [SEG_SUBJECT] * 4, [4], m.encoder)
     assert np.array_equal(out.data[perm], out_perm.data)
 
 
 def test_segment_wiring():
     m = tiny_model()
-    same = enc.encode_contexts([5, 6], [SEG_SUBJECT] * 2, m.encoder)
-    other = enc.encode_contexts([5, 6], [SEG_PREDICATE] * 2, m.encoder)
+    same = enc.encode_contexts([5, 6], [SEG_SUBJECT] * 2, [2], m.encoder)
+    other = enc.encode_contexts([5, 6], [SEG_PREDICATE] * 2, [2], m.encoder)
     assert not np.allclose(same.data, other.data)
     m.registry["seg_emb"].value.data[...] = 0.0
-    zeroed_s = enc.encode_contexts([5, 6], [SEG_SUBJECT] * 2, m.encoder)
-    zeroed_p = enc.encode_contexts([5, 6], [SEG_PREDICATE] * 2, m.encoder)
+    zeroed_s = enc.encode_contexts([5, 6], [SEG_SUBJECT] * 2, [2], m.encoder)
+    zeroed_p = enc.encode_contexts([5, 6], [SEG_PREDICATE] * 2, [2], m.encoder)
     assert np.array_equal(zeroed_s.data, zeroed_p.data)
 
 
 def encode_alone(ids, segment, params, masks=None):
     """Per-context oracle: one context through the layers with no score mask;
     ``masks`` are its dropout masks in layer order, attention before FFN."""
-    handed_out = iter(masks or ())
-    drop = (lambda shape: next(handed_out)) if masks else None
+    masks = masks or [None] * (2 * len(params.layers))
     x = ad.tensor(params.word_emb.value.data[ids] + params.seg_emb.value.data[segment])
-    for layer in params.layers:
-        x = ad.attention_block(x, x, layer.attn, params.n_heads, drop=drop)
-        x = ad.ffn_block(x, layer.ffn, drop=drop)
+    for i, layer in enumerate(params.layers):
+        x = ad.attention_block(x, x, layer.attn, params.n_heads, mask=masks[2 * i])
+        x = ad.ffn_block(x, layer.ffn, mask=masks[2 * i + 1])
     return x.data
 
 
@@ -65,7 +64,7 @@ CONTEXTS = (([5, 6], SEG_SUBJECT), ([7, 8, 9], SEG_PREDICATE), ([6], SEG_OBJECT)
 def stacked(contexts):
     ids = [t for toks, _ in contexts for t in toks]
     segments = [seg for toks, seg in contexts for _ in toks]
-    return ids, segments
+    return ids, segments, [len(toks) for toks, _ in contexts]
 
 
 def test_no_cross_context_state():
@@ -81,9 +80,8 @@ def test_no_cross_context_state():
             for toks, _ in CONTEXTS
         ]
         # one mask per sublayer over all rows: the row-concatenation of the contexts' masks
-        handed_out = iter([np.concatenate(m) for m in zip(*masks)] if dropout else ())
-        drop = (lambda shape: next(handed_out)) if dropout else None
-        out = enc.encode_contexts(*stacked(CONTEXTS), m.encoder, drop=drop).data
+        stacked_masks = [np.concatenate(m) for m in zip(*masks)] if dropout else None
+        out = enc.encode_contexts(*stacked(CONTEXTS), m.encoder, stacked_masks).data
         start = 0
         for (toks, seg), ctx_masks in zip(CONTEXTS, masks):
             alone = encode_alone(toks, seg, m.encoder, ctx_masks)
@@ -111,7 +109,7 @@ def test_dropout_masks_are_asked_context_by_context():
 def test_empty_context_rejected():
     m = tiny_model()
     with pytest.raises(ad.ContractError):
-        enc.encode_contexts([], [], m.encoder)
+        enc.encode_contexts([], [], [], m.encoder)
     # an empty predicate context would leave its fusion row all -inf
     ctx = ContextSet(("w5",), (), ("w8",), (m.vocab.id("w5"),), (), (m.vocab.id("w8"),))
     with pytest.raises(ad.ContractError, match="at least one token"):
@@ -125,19 +123,18 @@ def fusion_weights(rng, d, scale=0.5, dtype=np.float64):
     )
 
 
-def summaries(h, rows, segments, fusion):
+def summaries(h, rows, lengths, fusion):
     """The attention summaries c that fusion_forward gates into h."""
-    _, (_scale, _contexts, _padded, _attn, cat, _f, _g) = enc.fusion_forward(h, rows, segments, fusion)
+    _, (_scale, _contexts, _padded, _attn, cat, _f, _g) = enc.fusion_forward(h, rows, lengths, fusion)
     return cat[:, : h.shape[1]]
 
 
-def numpy_fusion(h, rows, segments, fusion):
+def numpy_fusion(h, rows, lengths, fusion):
     """Per-atom oracle: each atom attends over its own context alone, then the gate."""
     d = h.shape[1]
     w_f, w_g = fusion.w_f.value.data, fusion.w_g.value.data
     out = []
-    for i, e in enumerate(h):
-        ctx = rows[np.asarray(segments) == i]
+    for e, ctx in zip(h, np.split(rows, np.cumsum(lengths)[:-1])):
         logits = ctx @ e / math.sqrt(d)
         a = np.exp(logits - logits.max())
         cat = np.concatenate([(a / a.sum()) @ ctx, e])
@@ -146,25 +143,20 @@ def numpy_fusion(h, rows, segments, fusion):
     return np.array(out)
 
 
-def segments_of(lengths):
-    """Segment ids of stacked contexts with the given row counts."""
-    return np.repeat(np.arange(len(lengths)), lengths)
-
-
 def fusion_inputs(rng, d=6, lengths=(1, 2, 5)):
-    """KB rows, stacked context rows and their segment ids; the last context
+    """KB rows, stacked context rows and their row counts; the last context
     repeats a token."""
     h = rng.normal(size=(len(lengths), d))
     rows = rng.normal(size=(sum(lengths), d))
     rows[-1] = rows[-3]
-    return h, rows, segments_of(lengths)
+    return h, rows, list(lengths)
 
 
 def test_attentive_vector_single_row():
     # a one-row context is its own summary, whatever the query
     rng = np.random.default_rng(0)
-    h, rows, segments = fusion_inputs(rng, d=4, lengths=(1, 1, 1))
-    c = summaries(h, rows, segments, fusion_weights(rng, 4))
+    h, rows, lengths = fusion_inputs(rng, d=4, lengths=(1, 1, 1))
+    c = summaries(h, rows, lengths, fusion_weights(rng, 4))
     assert np.allclose(c, rows)
 
 
@@ -173,7 +165,7 @@ def test_attentive_vector_identical_rows():
     rng = np.random.default_rng(1)
     h = np.array([[2.0, 0.0, -1.0, 5.0], [0.1, 0.2, 0.3, 0.4], [-1.0, 1.0, -1.0, 1.0]])
     rows = np.tile(row, (9, 1))
-    c = summaries(h, rows, segments_of([4, 2, 3]), fusion_weights(rng, 4))
+    c = summaries(h, rows, [4, 2, 3], fusion_weights(rng, 4))
     assert np.allclose(c, np.tile(row, (3, 1)))
 
 
@@ -187,7 +179,7 @@ def test_attentive_vector_hand_case():
     expected = (w / w.sum()) @ ctx
     rows = np.vstack([ctx, [[3.0, -3.0]]])
     h = np.array([e, [1.0, 1.0]])
-    c = summaries(h, rows, [0, 0, 1], fusion_weights(np.random.default_rng(2), 2))
+    c = summaries(h, rows, [2, 1], fusion_weights(np.random.default_rng(2), 2))
     assert np.allclose(c[0], expected, atol=1e-12)
     assert np.array_equal(c[1], [3.0, -3.0])
 
@@ -195,11 +187,11 @@ def test_attentive_vector_hand_case():
 def test_gated_fuse_zero_gate_weights():
     # W_g = 0 makes g = sigmoid(0) = 0.5 exactly: h = 0.5 f + 0.5 e
     rng = np.random.default_rng(0)
-    h, rows, segments = fusion_inputs(rng, d=8)
+    h, rows, lengths = fusion_inputs(rng, d=8)
     fusion = fusion_weights(rng, 8)
     fusion.w_g.value.data[...] = 0.0
-    out, _ = enc.fusion_forward(h, rows, segments, fusion)
-    cat = np.concatenate([summaries(h, rows, segments, fusion), h], axis=1)
+    out, _ = enc.fusion_forward(h, rows, lengths, fusion)
+    cat = np.concatenate([summaries(h, rows, lengths, fusion), h], axis=1)
     f = np.tanh(cat @ fusion.w_f.value.data.T)
     assert np.allclose(out, 0.5 * f + 0.5 * h)
 
@@ -210,38 +202,38 @@ def test_gated_fuse_stays_in_unit_box():
     for _ in range(20):
         rows = rng.normal(size=(8, 8)) * 3
         h = rng.uniform(-0.999, 0.999, size=(3, 8))
-        out, _ = enc.fusion_forward(h, rows, segments_of([1, 2, 5]), fusion)
+        out, _ = enc.fusion_forward(h, rows, [1, 2, 5], fusion)
         assert np.all(out > -1.0) and np.all(out < 1.0)
 
 
 def test_gated_fuse_convex_between_f_and_e():
     rng = np.random.default_rng(2)
-    h, rows, segments = fusion_inputs(rng, d=8)
+    h, rows, lengths = fusion_inputs(rng, d=8)
     fusion = fusion_weights(rng, 8)
-    out, (_scale, _contexts, _padded, _attn, _cat, f, _g) = enc.fusion_forward(h, rows, segments, fusion)
+    out, (_scale, _contexts, _padded, _attn, _cat, f, _g) = enc.fusion_forward(h, rows, lengths, fusion)
     assert np.all(out >= np.minimum(f, h) - 1e-12) and np.all(out <= np.maximum(f, h) + 1e-12)
 
 
 def test_fusion_forward_matches_per_atom_composition():
     rng = np.random.default_rng(3)
-    h, rows, segments = fusion_inputs(rng)
+    h, rows, lengths = fusion_inputs(rng)
     fusion = fusion_weights(rng, h.shape[1])
-    kernel, _ = enc.fusion_forward(h, rows, segments, fusion)
-    np.testing.assert_allclose(kernel, numpy_fusion(h, rows, segments, fusion), rtol=1e-12, atol=1e-12)
-    recorded = enc.fuse(ad.tensor(h), ad.tensor(rows), segments, fusion).data
+    kernel, _ = enc.fusion_forward(h, rows, lengths, fusion)
+    np.testing.assert_allclose(kernel, numpy_fusion(h, rows, lengths, fusion), rtol=1e-12, atol=1e-12)
+    recorded = enc.fuse(ad.tensor(h), ad.tensor(rows), lengths, fusion).data
     assert np.array_equal(recorded, kernel)
 
 
 def test_fusion_gradients():
     rng = np.random.default_rng(4)
-    h0, rows0, segments = fusion_inputs(rng)
+    h0, rows0, lengths = fusion_inputs(rng)
     h = ad.Parameter("h_f", h0)
     rows = ad.Parameter("context_rows", rows0)
     fusion = fusion_weights(rng, h0.shape[1])
     probe = ad.tensor(rng.normal(size=h0.shape))
 
     def f():
-        return ad.sum_all(ad.mul(enc.fuse(h.value, rows.value, segments, fusion), probe))
+        return ad.sum_all(ad.mul(enc.fuse(h.value, rows.value, lengths, fusion), probe))
 
     assert ad.grad_check(f, [h, rows, fusion.w_f, fusion.w_g]) < 1e-4
 
@@ -250,29 +242,29 @@ def test_fusion_segments_are_isolated():
     # each atom reads only its own context: editing the middle context's
     # rows leaves the other two output rows bit-identical
     rng = np.random.default_rng(5)
-    h, rows, segments = fusion_inputs(rng)
+    h, rows, lengths = fusion_inputs(rng)
     fusion = fusion_weights(rng, h.shape[1])
-    before, _ = enc.fusion_forward(h, rows, segments, fusion)
+    before, _ = enc.fusion_forward(h, rows, lengths, fusion)
     edited = rows.copy()
     edited[1:3] = rng.normal(size=(2, h.shape[1])) * 5
-    after, _ = enc.fusion_forward(h, edited, segments, fusion)
+    after, _ = enc.fusion_forward(h, edited, lengths, fusion)
     assert np.array_equal(before[[0, 2]], after[[0, 2]])
     assert not np.allclose(before[1], after[1])
 
 
 def test_fusion_refuses_nan_scores():
     rng = np.random.default_rng(6)
-    h, rows, segments = fusion_inputs(rng)
+    h, rows, lengths = fusion_inputs(rng)
     rows[4, 0] = np.nan
     with pytest.raises(ad.NumericError, match="NaN"):
-        enc.fusion_forward(h, rows, segments, fusion_weights(rng, h.shape[1]))
+        enc.fusion_forward(h, rows, lengths, fusion_weights(rng, h.shape[1]))
 
 
 def test_fusion_float32_stays_float32():
     rng = np.random.default_rng(7)
-    h, rows, segments = fusion_inputs(rng)
+    h, rows, lengths = fusion_inputs(rng)
     fusion = fusion_weights(rng, h.shape[1], dtype=np.float32)
-    out, _ = enc.fusion_forward(h.astype(np.float32), rows.astype(np.float32), segments, fusion)
+    out, _ = enc.fusion_forward(h.astype(np.float32), rows.astype(np.float32), lengths, fusion)
     assert out.dtype == np.float32
 
 

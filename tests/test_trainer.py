@@ -319,10 +319,10 @@ def test_malformed_word_vector_row_is_config_error(dataset, tmp_path, row, probl
     assert str(exc.value).endswith(problem)
 
 
-def test_binary_word_vector_file_is_config_error(dataset, tmp_path):
+def test_binary_word_vector_file_is_refused(dataset, tmp_path):
     vec_path = tmp_path / "vectors.bin"
     vec_path.write_bytes(b"what \xff\xfe\x00\x80\n")
-    with pytest.raises(tr.ConfigError, match="not UTF-8 text"):
+    with pytest.raises(cp.IngestionError, match=":1: not UTF-8 text"):
         tr.build_model(desk_config(epochs=0, word_vectors=str(vec_path)), dataset)
 
 

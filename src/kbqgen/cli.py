@@ -37,6 +37,9 @@ def cmd_synth(args):
     cp.write_corpus(corpus, args.out_dir)
     n = {split: len(rows) for split, rows in corpus.fact_rows.items()}
     print(f"wrote corpus to {args.out_dir}: " + " ".join(f"{k}={v}" for k, v in n.items()))
+    if sum(n.values()) < args.facts:
+        print(f"synth: asked for {args.facts} facts, wrote {sum(n.values())}: "
+              "the draw found no more distinct facts", file=sys.stderr)
     return 0
 
 

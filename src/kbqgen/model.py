@@ -61,7 +61,7 @@ class Model:
         rng = np.random.default_rng(seed)
 
         def uniform(name, shape):
-            return self._add(name, rng.uniform(-init_range, init_range, size=shape).astype(dtype))
+            return self._add(name, rng.uniform(-init_range, init_range, size=shape).astype(dtype, copy=False))
 
         def ln_pair(prefix):
             gain = self._add(f"{prefix}_gain", np.ones((1, d), dtype=dtype))
@@ -132,7 +132,7 @@ class Model:
                 "kb_emb",
                 np.random.default_rng(seed + 1).uniform(
                     -init_range, init_range, size=(len(kbvocab), d)
-                ).astype(dtype),
+                ).astype(dtype, copy=False),
             )
 
     def _add(self, name, data):

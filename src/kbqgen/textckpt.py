@@ -1,24 +1,24 @@
 """The file format of model checkpoints, and its one checked reader and writer.
 
 A `kbqgen-model <version>` line, `<key> <value>` header lines, blocks that each
-open with a `block <name> <rows> <cols>` line followed by one line holding the
-base64 of the block's little-endian float64 bytes, then an `end sha256 <hex>`
-line: the SHA-256 of every byte before it. read() refuses any other text, a
-truncated or altered file included, with a ConfigError naming the line.
+open with a `block <name> <rows> <cols>` line followed by the block's
+8*rows*cols raw little-endian float64 bytes and one `\n`, then an
+`end sha256 <hex>` line: the SHA-256 of every byte before it. read() refuses
+any other bytes, a truncated or altered file included, with a ConfigError
+naming the line; a block's bytes and their `\n` count as one line.
 write() streams block by block into a temporary file beside the target and
 renames it over the target only once the file is complete.
 """
 
 from __future__ import annotations
 
-import binascii
 import hashlib
 import os
 
 import numpy as np
 
 MAGIC = "kbqgen-model"
-VERSION = 3
+VERSION = 4
 
 
 class ConfigError(ValueError):
@@ -42,16 +42,18 @@ def write(path, header, blocks):
     fh = open(tmp, "wb")
     try:
         with fh:
-            def put(line):
-                digest.update(line)
-                fh.write(line)
+            def put(data):
+                digest.update(data)
+                fh.write(data)
 
             put(f"{MAGIC} {VERSION}\n".encode())
             for key, value in header:
                 put(f"{key} {value}\n".encode())
             for name, arr in blocks:
+                arr = np.ascontiguousarray(arr, dtype="<f8")
                 put(f"block {name} {arr.shape[0]} {arr.shape[1]}\n".encode())
-                put(binascii.b2a_base64(np.ascontiguousarray(arr, dtype="<f8")))
+                put(arr)
+                put(b"\n")
             fh.write(f"end sha256 {digest.hexdigest()}\n".encode())
             fh.flush()
             os.fsync(fh.fileno())
@@ -61,18 +63,9 @@ def write(path, header, blocks):
         raise
 
 
-def _hashed(fh, digest):
-    """(line number, line) pairs; a line enters the digest once the next one is taken."""
-    taken = b""
-    for lineno, line in enumerate(fh, 1):
-        digest.update(taken)
-        taken = line
-        yield lineno, line
-
-
 def read(path):
     """({key: [values]}, {block name: float64 array}) of a file that write() wrote."""
-    header, blocks, lineno = {}, {}, 0
+    header, blocks, lineno = {}, {}, 1
     digest = hashlib.sha256()
 
     def fail(problem):
@@ -85,37 +78,41 @@ def read(path):
             fail(f"not UTF-8 text ({exc.reason})")
 
     with open(path, "rb") as fh:
-        lines = _hashed(fh, digest)
-        lineno, line = next(lines, (1, b""))
+        size = os.fstat(fh.fileno()).st_size
+        line = fh.readline()
         if line.split() != [MAGIC.encode(), str(VERSION).encode()]:
             got = line[:40].decode("utf-8", "replace").rstrip()
             fail(f"expected '{MAGIC} {VERSION}', got {got!r}")
-        lineno, line = next(lines, (lineno + 1, b""))
+        digest.update(line)
+        line, lineno = fh.readline(), lineno + 1
         while line and not line.startswith((b"block ", b"end ")):
             key, _, value = text(line).rstrip("\n").partition(" ")
             header.setdefault(key, []).append(value)
-            lineno, line = next(lines, (lineno + 1, b""))
+            digest.update(line)
+            line, lineno = fh.readline(), lineno + 1
         while line.startswith(b"block "):
             parts = line.split()
             if len(parts) != 4 or not (parts[2] + parts[3]).isdigit() or text(parts[1]) in blocks:
                 fail(f"bad or repeated block header {text(line).rstrip()!r}")
             name, rows, cols = text(parts[1]), int(parts[2]), int(parts[3])
-            lineno, line = next(lines, (lineno + 1, b""))
-            if not line.endswith(b"\n"):
+            digest.update(line)
+            lineno += 1
+            # a header that claims more bytes than the file holds allocates nothing
+            arr = np.empty((rows, cols), "<f8") if size - fh.tell() > 8 * rows * cols else None
+            if arr is None or fh.readinto(arr) != arr.nbytes:
                 fail(f"block {name!r}: file ends in it")
-            try:
-                raw = binascii.a2b_base64(line[:-1], strict_mode=True)
-            except binascii.Error as exc:
-                fail(f"block {name!r}: not base64 ({exc})")
-            if len(raw) != 8 * rows * cols:
-                fail(f"block {name!r}: {len(raw)} bytes, expected {8 * rows * cols}")
-            blocks[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(rows, cols)
-            lineno, line = next(lines, (lineno + 1, b""))
+            if fh.read(1) != b"\n":
+                fail(f"block {name!r}: its {arr.nbytes} bytes are not followed by a newline")
+            digest.update(arr)
+            digest.update(b"\n")
+            blocks[name] = arr.astype(np.float64, copy=False)
+            line, lineno = fh.readline(), lineno + 1
         if not line.startswith(b"end sha256 "):
             fail(f"expected a block or the end line, got {line[:40]!r}" if line
                  else "file ends before the end line")
         if line != f"end sha256 {digest.hexdigest()}\n".encode():
             fail("the sha256 on the end line does not match the file's contents")
-        if next(lines, None) is not None:
+        if fh.read(1):
+            lineno += 1
             fail("data after the end line")
     return header, blocks

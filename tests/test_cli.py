@@ -144,6 +144,18 @@ def test_impossible_synth_sizes_are_exit_2(tmp_path, capsys, sizes, problem):
     assert not (tmp_path / "out").exists()
 
 
+def test_synth_shortfall_is_one_stderr_line(tmp_path, capsys):
+    # 12 entities over two types leave one predicate 36 distinct triples
+    assert run("synth", "--entities", 12, "--predicates", 1, "--facts", 100, "--seed", 0,
+               "--out-dir", tmp_path / "out") == 0
+    out, err = capsys.readouterr()
+    assert out.endswith(": train=26 valid=5 test=5\n")
+    assert err == "synth: asked for 100 facts, wrote 36: the draw found no more distinct facts\n"
+    assert run("synth", "--entities", 12, "--predicates", 3, "--facts", 24,
+               "--out-dir", tmp_path / "full") == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_missing_data_is_runtime_error(tmp_path):
     assert run("train", "--data-dir", tmp_path / "nowhere",
                "--out-dir", tmp_path / "out", "--set", "epochs=1") == 1
@@ -230,10 +242,10 @@ def test_eval_mismatched_facts_rejected(tmp_path, data_dir):
 
 
 def test_generate_on_checkpoint_cut_mid_row_is_exit_2(tmp_path, data_dir, trained, capsys):
-    text = (trained / "model" / "model.ckpt").read_text(encoding="utf-8")
-    row = text.index("\n", text.index("\nblock ") + 1) + 1  # first row of the first block
+    data = (trained / "model" / "model.ckpt").read_bytes()
+    payload = data.index(b"\n", data.index(b"\nblock ") + 1) + 1  # the first block's values
     cut = tmp_path / "cut.ckpt"
-    cut.write_text(text[: row + 10], encoding="utf-8")
+    cut.write_bytes(data[: payload + 10])
     code = run("generate", "--checkpoint", cut, "--data-dir", data_dir,
                "--split", "test", "--out", tmp_path / "gen.tsv")
     err = capsys.readouterr().err

@@ -1,10 +1,10 @@
 """The checkpoint file format: bit-exact round trips and refusal of damaged files."""
 
-import binascii
 import contextlib
 import hashlib
 import io
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,11 +49,12 @@ def resign(data):
     return data[:cut] + b"end sha256 " + hashlib.sha256(data[:cut]).hexdigest().encode() + b"\n" + rest
 
 
-def block_line(data, name):
-    """The base64 line of a block, and the edit that swaps in another one."""
-    header = f"block {name} ".encode()
-    start = data.index(b"\n", data.index(header)) + 1
-    end = data.index(b"\n", start)
+def block_payload(data, name):
+    """The raw float64 bytes of a block, and the edit that swaps in others before its newline."""
+    header = data.index(f"block {name} ".encode())
+    start = data.index(b"\n", header) + 1
+    rows, cols = map(int, data[header:start].split()[2:])
+    end = start + 8 * rows * cols
     return data[start:end], lambda new: data[:start] + new + data[end:]
 
 
@@ -87,9 +88,9 @@ def test_round_trip_is_bit_exact(tmp_path):
 def test_blank_row_is_refused_in_a_one_column_block(tmp_path, row):
     path = tmp_path / "x.ckpt"
     textckpt.write(path, [], [("col", np.arange(3.0)[:, None])])
-    _, swap = block_line(path.read_bytes(), "col")
+    _, swap = block_payload(path.read_bytes(), "col")
     path.write_bytes(resign(swap(row.rstrip("\n").encode())))
-    with pytest.raises(ConfigError, match=r":3: block 'col': (0 bytes, expected 24|not base64)"):
+    with pytest.raises(ConfigError, match=":3: block 'col': its 24 bytes are not followed by a newline"):
         textckpt.read(path)
 
 
@@ -126,29 +127,35 @@ def test_model_file_with_a_stray_block_is_refused(saved, tmp_path):
         "kbqgen-model 1\nepoch 0\n",
         "kbqgen-kb 3\npretrained 0\nblock table 1 1\nAAAAAAAA4D8=\n",
         "kbqgen-model 2\nepoch 0\nconfighash 0\nblock tensor/w 1 2\n0.5 0.25\nend\n",
+        "kbqgen-model 3\nepoch 0\nconfighash 0\nblock tensor/w 1 1\nAAAAAAAA4D8=\nend sha256 0\n",
     ],
 )
 def test_old_layout_is_refused(tmp_path, old):
     path = tmp_path / "old.ckpt"
     path.write_text(old, encoding="utf-8")
     magic, version = old.split()[:2]
-    with pytest.raises(ConfigError, match=f":1: expected 'kbqgen-model 3', got '{magic} {version}'"):
+    with pytest.raises(ConfigError, match=f":1: expected 'kbqgen-model 4', got '{magic} {version}'"):
         tr.load_checkpoint(path)
 
 
 def drop_last_value(data):
-    line, swap = block_line(data, "table")
-    return resign(swap(binascii.b2a_base64(binascii.a2b_base64(line)[:-8], newline=False)))
+    payload, swap = block_payload(data, "table")
+    return resign(swap(payload[:-8]))
 
 
 def add_a_value(data):
-    line, swap = block_line(data, "table")
-    return resign(swap(binascii.b2a_base64(binascii.a2b_base64(line) + bytes(8), newline=False)))
+    payload, swap = block_payload(data, "table")
+    return resign(swap(payload + bytes(8)))
 
 
-def flip_a_base64_digit(data):
-    line, swap = block_line(data, "table")
-    return swap(line[:5] + (b"B" if line[5:6] != b"B" else b"C") + line[6:])
+def flip_a_payload_byte(data):
+    payload, swap = block_payload(data, "table")
+    return swap(payload[:5] + bytes([payload[5] ^ 1]) + payload[6:])
+
+
+def payload_then_not_a_newline(data):
+    payload, swap = block_payload(data, "table")
+    return resign(swap(payload + b"x"))
 
 
 @pytest.mark.parametrize(
@@ -159,11 +166,10 @@ def flip_a_base64_digit(data):
          "bad or repeated block header"),
         (lambda t: resign(t.replace(b"end sha256", b"block table 0 8\n\nend sha256")),
          "bad or repeated block header"),
-        (lambda t: resign(block_line(t, "table")[1](b"AAAA*" + block_line(t, "table")[0][4:])),
-         "not base64"),
-        (drop_last_value, "376 bytes, expected 384"),
-        (add_a_value, "392 bytes, expected 384"),
-        (flip_a_base64_digit, "sha256 on the end line does not match"),
+        (payload_then_not_a_newline, ":3: block 'table': its 384 bytes are not followed by a newline"),
+        (drop_last_value, ":3: block 'table': its 384 bytes are not followed by a newline"),
+        (add_a_value, ":3: block 'table': its 384 bytes are not followed by a newline"),
+        (flip_a_payload_byte, ":4: the sha256 on the end line does not match"),
         (lambda t: t.replace(b"end sha256 ", b"end sha512 "), "expected a block or the end line"),
     ],
 )
@@ -174,22 +180,23 @@ def test_corrupt_kb_checkpoint_names_the_problem(saved, tmp_path, edit, problem)
         textckpt.read(path)
 
 
-def test_noncanonical_base64_padding_is_refused(tmp_path):
-    # strict base64 decodes both lines to the same 8 zero bytes; only the
-    # digest over the file's text tells them apart
-    assert binascii.a2b_base64(b"AAAAAAAAAAB=", strict_mode=True) == bytes(8)
-    path = tmp_path / "x.ckpt"
-    textckpt.write(path, [], [("z", np.zeros((1, 1)))])
-    data = path.read_bytes()
-    assert b"\nAAAAAAAAAAA=\n" in data
-    path.write_bytes(data.replace(b"\nAAAAAAAAAAA=\n", b"\nAAAAAAAAAAB=\n"))
-    with pytest.raises(ConfigError, match=":4: the sha256 on the end line does not match"):
-        textckpt.read(path)
+def test_lying_block_header_is_refused_before_any_allocation(saved, tmp_path):
+    # 8 TB of values claimed by a re-signed file of a few hundred bytes
+    path = tmp_path / "kb.ckpt"
+    path.write_bytes(resign(saved["kb"].replace(b"block table 6 8", b"block table 1000000000 1000")))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=":3: block 'table': file ends in it"):
+            textckpt.read(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_non_utf8_checkpoint_is_refused(tmp_path):
     path = tmp_path / "model.ckpt"
-    path.write_bytes(b"kbqgen-model 3\n\xff\n")
+    path.write_bytes(b"kbqgen-model 4\n\xff\n")
     with pytest.raises(ConfigError, match=":2: not UTF-8 text"):
         tr.load_checkpoint(path)
 

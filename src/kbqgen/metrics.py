@@ -170,46 +170,31 @@ def meteor_lite(candidates, references):
     return 100.0 * sum(scores) / len(scores)
 
 
-def answer_coverage(candidates, answer_word_sets):
-    """Percentage of candidates containing at least one of their answer words.
-
-    Pure integer counting; the only float operation is the final division.
-    """
+def _first_answer_words(candidates, answer_word_sets):
+    """Each candidate's first token that is one of its answer words, or None."""
     if len(candidates) != len(answer_word_sets):
         raise ValueError("candidate/answer-set count mismatch")
-    if not candidates:
-        return 0.0
-    covered = 0
-    for cand, answers in zip(candidates, answer_word_sets):
-        if set(cand) & set(answers):
-            covered += 1
-    return 100.0 * covered / len(candidates)
+    return [next((tok for tok in cand if tok in answers), None)
+            for cand, answers in zip(candidates, map(set, answer_word_sets))]
+
+
+def _percent(flags):
+    """Percentage of true flags: integer counting, then one division."""
+    return 100.0 * sum(flags) / len(flags) if flags else 0.0
+
+
+def answer_coverage(candidates, answer_word_sets):
+    """Percentage of candidates containing at least one of their answer words."""
+    return _percent([m is not None for m in _first_answer_words(candidates, answer_word_sets)])
 
 
 def evaluate(candidates, references, answer_word_sets):
     """Full report over aligned candidate/reference/answer-set lists."""
-    records = []
-    for cand, ref, answers in zip(candidates, references, answer_word_sets):
-        matched = None
-        for tok in cand:
-            if tok in set(answers):
-                matched = tok
-                break
-        records.append(
-            ExampleRecord(
-                candidate=" ".join(cand),
-                reference=" ".join(ref),
-                covered=matched is not None,
-                matched_answer_word=matched,
-            )
-        )
-    return EvalReport(
-        bleu4=bleu4(candidates, references),
-        rouge_l=rouge_l(candidates, references),
-        meteor=meteor_lite(candidates, references),
-        answer_coverage=answer_coverage(candidates, answer_word_sets),
-        records=records,
-    )
+    scores = [metric(candidates, references) for metric in (bleu4, rouge_l, meteor_lite)]
+    matches = _first_answer_words(candidates, answer_word_sets)
+    records = [ExampleRecord(" ".join(cand), " ".join(ref), matched is not None, matched)
+               for cand, ref, matched in zip(candidates, references, matches)]
+    return EvalReport(*scores, answer_coverage=_percent([r.covered for r in records]), records=records)
 
 
 def report_lines(report):

@@ -1,8 +1,9 @@
 """Model assembly: every trainable matrix in one addressable registry.
 
-Builds encoder, fusion, decoder and KB-embedding parameters from a seed,
-wires the shared word-embedding table across encoder input, decoder input
-and output logits, and provides the teacher-forced forward pass whose step
+Draws encoder, fusion, decoder and KB-embedding parameters from a seed, or
+copies them from given weights (a checkpoint's tensors), wires the shared
+word-embedding table across encoder input, decoder input and output
+logits, and provides the teacher-forced forward pass whose step
 distributions feed the objective directly. The forward pass takes a batch
 of examples and records one graph for all of them; one example is a batch
 of one, through the same ``forward_example``. Dropout is decided here: the
@@ -19,8 +20,18 @@ from . import autodiff as ad
 from . import decoder as dec
 from . import encoder as enc
 from .corpus import EOS
+from .textckpt import ConfigError
 
 INIT_RANGE = 0.08
+
+
+def check_fit(kind, arrays, shapes):
+    """Refuse checkpoint arrays (name -> array) whose names or shapes differ from ``shapes``."""
+    missing, unknown = sorted(shapes.keys() - arrays.keys()), sorted(arrays.keys() - shapes.keys())
+    wrong = [f"{n} {a.shape}" for n, a in arrays.items() if n in shapes and a.shape != shapes[n]]
+    if missing or unknown or wrong:
+        raise ConfigError(f"checkpoint {kind}s do not fit this model: missing {missing}, "
+                          f"unknown {unknown}, wrong shape {wrong}")
 
 
 @dataclass
@@ -43,9 +54,18 @@ class ForwardResult:
 
 
 class Model:
+    """Encoder, fusion, decoder and KB-embedding parameters, named in one registry.
+
+    Without ``weights`` the matrices are drawn uniform in +-``init_range`` from
+    ``seed`` (``kb_emb`` from ``seed + 1``). With ``weights`` (name -> array,
+    e.g. a checkpoint's tensors) nothing is drawn: each parameter is a copy of
+    ``weights[name]`` in ``dtype``, and any missing, unknown or wrong-shape
+    names are refused together in one ConfigError.
+    """
+
     def __init__(self, vocab, kbvocab, d=32, heads=2, layers=2, seed=0, max_len=40,
-                 kb_table=None, word_vectors=None, use_fusion=True, use_kb_copy=True,
-                 use_ctx_copy=True, dtype=np.float64, init_range=INIT_RANGE):
+                 weights=None, use_fusion=True, use_kb_copy=True, use_ctx_copy=True,
+                 dtype=np.float64, init_range=INIT_RANGE):
         if d % heads:
             raise ad.ShapeError(f"hidden size {d} not divisible by {heads} heads")
         self.vocab = vocab
@@ -58,23 +78,26 @@ class Model:
         self.use_kb_copy = use_kb_copy
         self.use_ctx_copy = use_ctx_copy
         self.registry = {}
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed) if weights is None else None
 
-        def uniform(name, shape):
-            return self._add(name, rng.uniform(-init_range, init_range, size=shape).astype(dtype, copy=False))
+        def param(name, shape, draw):
+            if weights is None:
+                return self._add(name, draw())
+            given = weights.get(name, np.empty(0))
+            fits = given.shape == shape  # a misfit gets zeros, so that check_fit names every misfit
+            return self._add(name, np.array(given, dtype) if fits else np.zeros(shape, dtype))
+
+        def uniform(name, shape, stream=lambda: rng):
+            return param(name, shape, lambda: stream().uniform(
+                -init_range, init_range, size=shape).astype(dtype, copy=False))
+
+        def filled(name, shape, value):
+            return param(name, shape, lambda: np.full(shape, value, dtype=dtype))
 
         def ln_pair(prefix):
-            gain = self._add(f"{prefix}_gain", np.ones((1, d), dtype=dtype))
-            bias = self._add(f"{prefix}_bias", np.zeros((1, d), dtype=dtype))
-            return gain, bias
+            return filled(f"{prefix}_gain", (1, d), 1.0), filled(f"{prefix}_bias", (1, d), 0.0)
 
         word = uniform("word_emb", (len(vocab), d))
-        if word_vectors:
-            table = word.value.data
-            for i, tok in enumerate(vocab.tokens):
-                vec = word_vectors.get(tok)
-                if vec is not None:
-                    table[i] = np.asarray(vec, dtype=dtype)
         seg = uniform("seg_emb", (3, d))
 
         def attention(prefix, ln):
@@ -84,9 +107,9 @@ class Model:
         def ffn(prefix, ln):
             return ad.FFNWeights(
                 uniform(f"{prefix}.ffn_w1", (d, 2 * d)),
-                self._add(f"{prefix}.ffn_b1", np.zeros((1, 2 * d), dtype=dtype)),
+                filled(f"{prefix}.ffn_b1", (1, 2 * d), 0.0),
                 uniform(f"{prefix}.ffn_w2", (2 * d, d)),
-                self._add(f"{prefix}.ffn_b2", np.zeros((1, d), dtype=dtype)),
+                filled(f"{prefix}.ffn_b2", (1, d), 0.0),
                 *ln_pair(ln),
             )
 
@@ -120,20 +143,9 @@ class Model:
             kb_w2=uniform("mode.kb_w2", (1, max(d // 2, 1))),
             w_ctx=uniform("copy.w_ctx", (d, d)),
         )
-
-        if kb_table is not None:
-            if kb_table.shape != (len(kbvocab), d):
-                raise ad.ShapeError(
-                    f"KB table shape {kb_table.shape} does not match ({len(kbvocab)}, {d})"
-                )
-            self.kb_emb = self._add("kb_emb", np.asarray(kb_table, dtype=dtype).copy())
-        else:
-            self.kb_emb = self._add(
-                "kb_emb",
-                np.random.default_rng(seed + 1).uniform(
-                    -init_range, init_range, size=(len(kbvocab), d)
-                ).astype(dtype, copy=False),
-            )
+        self.kb_emb = uniform("kb_emb", (len(kbvocab), d), lambda: np.random.default_rng(seed + 1))
+        if weights is not None:
+            check_fit("tensor", weights, {n: p.value.data.shape for n, p in self.registry.items()})
 
     def _add(self, name, data):
         if name in self.registry:

@@ -25,7 +25,7 @@ from . import metrics
 from . import objective as obj
 from . import textckpt
 from .corpus import read_utf8
-from .model import Model
+from .model import Model, check_fit
 from .textckpt import ConfigError
 
 RHO = 0.9
@@ -84,6 +84,8 @@ class TrainConfig:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.dtype not in ("float64", "float32"):
             raise ConfigError(f"dtype must be float64 or float32, got {self.dtype}")
+        if self.max_len < 2:
+            raise ConfigError(f"max_len must be >= 2, got {self.max_len}")
         if self.profile not in ("desk", "paper"):
             raise ConfigError(f"profile must be desk or paper, got {self.profile}")
         return self
@@ -244,27 +246,6 @@ def _snapshot(model, optimizer, epoch, config):
     )
 
 
-def _restore(model, ckpt, optimizer=None):
-    """Copy a checkpoint's tensors, and with an optimizer its moments, in place.
-
-    Refuses unknown or missing names and wrong shapes before it writes
-    anything. A config-hash difference alone is allowed: a run may resume
-    under more epochs.
-    """
-    targets = [("tensor", ckpt.tensors, {n: p.value.data for n, p in model.registry.items()})]
-    if optimizer is not None:
-        targets.append(("moment", ckpt.moments, optimizer.moments))
-    for kind, source, dest in targets:
-        missing, unknown = sorted(dest.keys() - source.keys()), sorted(source.keys() - dest.keys())
-        wrong = [f"{n} {a.shape}" for n, a in source.items() if n in dest and a.shape != dest[n].shape]
-        if missing or unknown or wrong:
-            raise ConfigError(f"checkpoint {kind}s do not fit this model: missing {missing}, "
-                              f"unknown {unknown}, wrong shape {wrong}")
-    for _, source, dest in targets:
-        for name, arr in source.items():
-            dest[name][...] = arr
-
-
 def load_word_vectors(path, vocab, d):
     """Pretrained vectors for the in-vocabulary tokens of a word-vector file.
 
@@ -310,23 +291,30 @@ def pretrain_kb(config, dataset):
     )
 
 
+def _model(config, dataset, weights=None):
+    return Model(
+        dataset.vocab, dataset.kbvocab,
+        d=config.d, heads=config.heads, layers=config.layers, seed=config.seed,
+        max_len=config.max_len, weights=weights,
+        use_fusion=config.use_fusion, use_kb_copy=config.use_kb_copy,
+        use_ctx_copy=config.use_ctx_copy, dtype=config.np_dtype(),
+    )
+
+
 def build_model(config, dataset, kb_matrix=None):
     """Model for a dataset per config; pretrains TransE when asked and no kb_matrix is given."""
     if kb_matrix is None and config.transe:
         kb_matrix = pretrain_kb(config, dataset)
-    vectors = (
-        load_word_vectors(config.word_vectors, dataset.vocab, config.d)
-        if config.word_vectors else None
-    )
-    return Model(
-        dataset.vocab, dataset.kbvocab,
-        d=config.d, heads=config.heads, layers=config.layers, seed=config.seed,
-        max_len=config.max_len,
-        kb_table=kb_matrix.table if kb_matrix is not None else None,
-        word_vectors=vectors,
-        use_fusion=config.use_fusion, use_kb_copy=config.use_kb_copy,
-        use_ctx_copy=config.use_ctx_copy, dtype=config.np_dtype(),
-    )
+    model = _model(config, dataset)
+    if kb_matrix is not None:
+        table = model.kb_emb.value.data
+        if kb_matrix.table.shape != table.shape:
+            raise ad.ShapeError(f"KB table shape {kb_matrix.table.shape} does not match {table.shape}")
+        table[...] = kb_matrix.table
+    if config.word_vectors:
+        for token, vec in load_word_vectors(config.word_vectors, dataset.vocab, config.d).items():
+            model.encoder.word_emb.value.data[dataset.vocab.id(token)] = vec
+    return model
 
 
 def batch_loss(model, examples, config, drops=None):
@@ -393,15 +381,22 @@ def train(config, dataset, kb_matrix=None, resume=None, log=None):
     aborts with the last finite checkpoint.
     """
     config.validate()
-    model = build_model(config, dataset, kb_matrix=kb_matrix)
-    optimizer = RMSProp(
-        model.parameters(), skip_names=("kb_emb",) if config.freeze_kb else ()
-    )
+    train_examples = dataset.examples("train")
+    for i, ex in enumerate(train_examples, 1):
+        if len(ex.question) - 1 > config.max_len:  # one decoder step per token after BOS
+            f = ex.fact
+            fact = " ".join(dataset.kbvocab.token(k) for k in (f.subject, f.predicate, f.object))
+            raise ConfigError(f"train example {i} ({fact}): its question has {len(ex.question) - 1} "
+                              f"decoder steps, more than max_len={config.max_len}")
+    model = (build_model(config, dataset, kb_matrix=kb_matrix) if resume is None
+             else model_from_checkpoint(config, dataset, resume))
+    optimizer = RMSProp(model.parameters(), skip_names=("kb_emb",) if config.freeze_kb else ())
     start_epoch = 0
     if resume is not None:
-        _restore(model, resume, optimizer)
+        check_fit("moment", resume.moments, {n: v.shape for n, v in optimizer.moments.items()})
+        for name, v in optimizer.moments.items():
+            v[...] = resume.moments[name]
         start_epoch = resume.epoch
-    train_examples = dataset.examples("train")
     validate = bool(dataset.splits.get("valid"))
     history = []
     last = _snapshot(model, optimizer, start_epoch, config)
@@ -450,10 +445,15 @@ def train(config, dataset, kb_matrix=None, resume=None, log=None):
 
 
 def model_from_checkpoint(config, dataset, ckpt):
-    """The checkpoint's model; every weight comes from ckpt, no other file is read."""
-    model = build_model(replace(config, transe=False, word_vectors=""), dataset)
-    _restore(model, ckpt)
-    return model
+    """The model that ckpt's tensors describe under config's dims and switches.
+
+    Every weight is a copy of ckpt.tensors: nothing is drawn, TransE does not
+    run and no word-vector file is read. A tensor set that does not fit the
+    model (missing, unknown or wrong-shape names) is one ConfigError. A
+    config-hash difference alone is allowed: a run may resume under more
+    epochs.
+    """
+    return _model(config, dataset, weights=ckpt.tensors)
 
 
 # ---------------------------------------------------------------------------

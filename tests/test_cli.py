@@ -4,6 +4,7 @@ import pytest
 
 from kbqgen import cli
 from kbqgen import corpus as cp
+from kbqgen import textckpt
 
 
 def run(*argv):
@@ -117,6 +118,7 @@ def test_generate_reads_no_word_vector_file(tmp_path, data_dir):
     pytest.param(("train", "--set", "heads=-2"), "got 32, -2, 2", id="heads-negative"),
     pytest.param(("train", "--set", "d=0"), "got 0, 2, 2", id="d-0"),
     pytest.param(("train", "--set", "layers=-1"), "got 32, 2, -1", id="layers-negative"),
+    pytest.param(("train", "--set", "max_len=0"), "max_len must be >= 2, got 0", id="max-len-0"),
     pytest.param(("ablate", "--grid", "components", "--seeds=-1"), "seed must be >= 0, got -1",
                  id="ablate-seeds"),
 ])
@@ -252,6 +254,34 @@ def test_generate_on_checkpoint_cut_mid_row_is_exit_2(tmp_path, data_dir, traine
     assert code == 2
     assert err.startswith(f"error: {cut}:") and err.count("\n") == 1
     assert "Traceback" not in err and not (tmp_path / "gen.tsv").exists()
+
+
+def test_generate_on_checkpoint_of_other_dims_is_exit_2(tmp_path, data_dir, capsys):
+    assert run("train", "--data-dir", data_dir, "--out-dir", tmp_path / "run", "--set", "epochs=0") == 0
+    header, blocks = textckpt.read(tmp_path / "run" / "model.ckpt")
+    assert "d=32" in header["config"]
+    edited = [(key, "d=16" if (key, value) == ("config", "d=32") else value)
+              for key, values in header.items() for value in values]
+    other = tmp_path / "other.ckpt"
+    textckpt.write(other, edited, blocks.items())
+    capsys.readouterr()
+    code = run("generate", "--checkpoint", other, "--data-dir", data_dir,
+               "--split", "test", "--out", tmp_path / "gen.tsv")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: checkpoint tensors do not fit this model: missing [], unknown [], "
+                          "wrong shape ['word_emb (") and err.count("\n") == 1
+    assert "Traceback" not in err and not (tmp_path / "gen.tsv").exists()
+
+
+def test_over_long_question_is_exit_2_before_any_epoch(tmp_path, data_dir, capsys):
+    code = run("train", "--data-dir", data_dir, "--out-dir", tmp_path / "run",
+               "--set", "epochs=1", "--set", "max_len=3")
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: train example 1 (") and err.count("\n") == 1
+    assert err.endswith("decoder steps, more than max_len=3\n") and "Traceback" not in err
+    assert not (tmp_path / "run" / "model.ckpt").exists()
 
 
 def test_eval_does_not_mutate_inputs(tmp_path, data_dir, trained):

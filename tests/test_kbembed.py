@@ -96,7 +96,9 @@ def test_filtered_mean_rank_beats_random_baseline():
 def bare_kb_model(table):
     """A model whose fact rows are the gathered KB rows, without fusion."""
     kbvocab = KBVocab([f"e{i}" for i in range(5)], ["p0"])
-    return Model(Vocab(["w"]), kbvocab, d=4, heads=2, layers=1, kb_table=table, use_fusion=False)
+    model = Model(Vocab(["w"]), kbvocab, d=4, heads=2, layers=1, use_fusion=False)
+    model.kb_emb.value.data[...] = table
+    return model
 
 
 def kb_example(fact):

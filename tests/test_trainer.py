@@ -7,6 +7,8 @@ import pytest
 from kbqgen import autodiff as ad
 from kbqgen import corpus as cp
 from kbqgen import decoder as dec
+from kbqgen import kbembed
+from kbqgen import model as mdl
 from kbqgen import trainer as tr
 
 
@@ -51,6 +53,9 @@ def test_config_validation():
         tr.TrainConfig(lr_decay=1.5).validate()
     with pytest.raises(tr.ConfigError):
         tr.TrainConfig(lam=-1).validate()
+    for bad in (1, 0, -3):
+        with pytest.raises(tr.ConfigError, match=f"max_len must be >= 2, got {bad}"):
+            tr.TrainConfig(max_len=bad).validate()
 
 
 def test_config_paper_profile():
@@ -227,15 +232,80 @@ def test_checkpoint_shape_mismatch_leaves_the_model_untouched(dataset):
     ckpt = tr.train(replace(cfg, seed=1), dataset).last
     last = list(ckpt.tensors)[-1]
     ckpt.tensors[last] = ckpt.tensors[last][:, :-1]
-    model = tr.build_model(cfg, dataset)
-    before = {name: p.value.data.copy() for name, p in model.registry.items()}
     with pytest.raises(tr.ConfigError, match=f"wrong shape \\['{last} "):
-        tr._restore(model, ckpt)
-    assert all(np.array_equal(p.value.data, before[n]) for n, p in model.registry.items())
+        tr.model_from_checkpoint(cfg, dataset, ckpt)
+    with pytest.raises(tr.ConfigError, match=f"wrong shape \\['{last} "):
+        tr.train(cfg, dataset, resume=ckpt)
     ckpt = tr.train(replace(cfg, seed=1), dataset).last
     ckpt.tensors["stray"] = np.zeros((1, 1))
     with pytest.raises(tr.ConfigError, match=r"unknown \['stray'\]"):
         tr.model_from_checkpoint(cfg, dataset, ckpt)
+
+
+def _write_vectors(path, dataset, d):
+    assert "what" in dataset.vocab
+    path.write_text("what " + " ".join(["0.25"] * d) + "\n", encoding="utf-8")
+    return path
+
+
+def test_model_from_checkpoint_draws_nothing_and_reads_no_vector_file(dataset, tmp_path, monkeypatch):
+    vec_path = _write_vectors(tmp_path / "vectors.txt", dataset, 16)
+    cfg = desk_config(epochs=1, word_vectors=str(vec_path))
+    ckpt = tr.train(cfg, dataset).last
+    vec_path.unlink()
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a model built from a checkpoint drew random numbers")
+
+    monkeypatch.setattr(mdl.np.random, "default_rng", no_draw)
+    model = tr.model_from_checkpoint(cfg, dataset, ckpt)
+    assert list(model.registry) == list(ckpt.tensors)
+    for name, p in model.registry.items():
+        assert np.array_equal(p.value.data, ckpt.tensors[name]), name
+        assert not np.shares_memory(p.value.data, ckpt.tensors[name]), name
+
+
+def test_resume_runs_no_transe_reads_no_vector_file_and_keeps_the_checkpoint(dataset, tmp_path,
+                                                                              monkeypatch):
+    vec_path = _write_vectors(tmp_path / "vectors.txt", dataset, 16)
+    cfg = desk_config(epochs=4, dropout=0.1, transe=True, transe_epochs=2, word_vectors=str(vec_path))
+    full = tr.train(cfg, dataset)
+    half = tr.train(replace(cfg, epochs=2), dataset).last
+    vec_path.unlink()
+    kept = {kind: {n: a.copy() for n, a in getattr(half, kind).items()} for kind in ("tensors", "moments")}
+
+    def no_transe(*args, **kwargs):
+        raise AssertionError("resume ran TransE")
+
+    monkeypatch.setattr(kbembed, "pretrain_transe", no_transe)
+    resumed = tr.train(cfg, dataset, resume=half)
+    assert resumed.history == full.history[2:]
+    for name in full.last.tensors:
+        assert np.array_equal(full.last.tensors[name], resumed.last.tensors[name]), name
+        assert np.array_equal(full.last.moments[name], resumed.last.moments[name]), name
+    for kind, arrays in kept.items():
+        for name, arr in arrays.items():
+            assert np.array_equal(getattr(half, kind)[name], arr), (kind, name)
+
+
+def test_over_long_train_question_is_refused_before_the_first_batch(dataset, monkeypatch):
+    train = dataset.examples("train")
+    longest = max(len(ex.question) - 1 for ex in train)
+    i = next(i for i, ex in enumerate(train) if len(ex.question) - 1 == longest)
+    fact = train[i].fact
+    ids = " ".join(dataset.kbvocab.token(k) for k in (fact.subject, fact.predicate, fact.object))
+
+    def no_batch(*args, **kwargs):
+        raise AssertionError("a batch ran")
+
+    monkeypatch.setattr(tr, "batch_loss", no_batch)
+    cfg = desk_config(max_len=longest - 1)
+    with pytest.raises(tr.ConfigError) as exc:
+        tr.train(cfg, dataset)
+    assert str(exc.value) == (f"train example {i + 1} ({ids}): its question has {longest} "
+                              f"decoder steps, more than max_len={longest - 1}")
+    monkeypatch.undo()
+    assert tr.train(desk_config(epochs=1, max_len=longest), dataset).history
 
 
 def test_lambda_zero_bit_identical_to_question_only(dataset):

@@ -101,7 +101,9 @@ class Parameter:
     def __init__(self, name, data):
         self.name = name
         self.value = Tensor(data, requires_grad=True)
-        self.value.grad = np.zeros_like(self.value.data)
+        # np.zeros leaves pages unmapped until written (zeros_like writes them all), so a
+        # model that only decodes never faults its gradients in
+        self.value.grad = np.zeros(self.value.data.shape, self.value.data.dtype)
 
     @property
     def grad(self):

@@ -9,6 +9,7 @@ only under its --out/--out-dir. Exit codes: 0 success, 1 runtime failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -148,19 +149,13 @@ def _gradcheck_fixture(cfg):
     vocab = cp.Vocab(words)
     assert len(vocab) == 30
     kbvocab = cp.KBVocab(["e0", "e1", "e2"], ["p0"])
-    contexts = cp.ContextSet(
-        subject_words=("w1", "w2", "w3"),
-        predicate_words=("w4", "w2", "w5"),
-        object_words=("w6", "w7", "w2"),
-        subject_ids=tuple(vocab.id(t) for t in ("w1", "w2", "w3")),
-        predicate_ids=tuple(vocab.id(t) for t in ("w4", "w2", "w5")),
-        object_ids=tuple(vocab.id(t) for t in ("w6", "w7", "w2")),
-    )
+    words = (("w1", "w2", "w3"), ("w4", "w2", "w5"), ("w6", "w7", "w2"))  # subject, predicate, object
+    contexts = cp.ContextSet(*words, *map(vocab.ids, words))
     question = ("w1", "w4", "<subj>", "w6", "?")
     example = cp.Example(
         fact=cp.Fact(0, 3, 2),
         contexts=contexts,
-        question=(cp.BOS,) + tuple(vocab.id(t) for t in question) + (cp.EOS,),
+        question=(cp.BOS, *vocab.ids(question), cp.EOS),
         question_words=question,
         raw_question_words=question,
         answer_type_words=("w2", "w6"),
@@ -215,6 +210,7 @@ def cmd_ablate(args):
             "".join(l + "\n" for l in [header] + body), encoding="utf-8"
         )
     else:
+        @functools.cache  # each distinct dataset once: the variants only read it
         def load(diversified):
             return cp.load_dataset(args.data_dir, diversified=diversified, min_freq=cfg.min_freq)
 

@@ -15,6 +15,7 @@ import io
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from pathlib import Path
 from random import Random
 
@@ -120,15 +121,15 @@ class Vocab:
 
     @classmethod
     def from_questions(cls, token_lists, min_freq=2):
-        counts = {}
-        for toks in token_lists:
-            for t in toks:
-                counts[t] = counts.get(t, 0) + 1
+        counts = Counter(chain.from_iterable(token_lists))
         kept = sorted(t for t, c in counts.items() if c >= min_freq and t not in SPECIAL_TOKENS)
         return cls(kept)
 
     def id(self, token):
         return self._index.get(token, UNK)
+
+    def ids(self, tokens):
+        return tuple(map(self._index.get, tokens, repeat(UNK)))
 
     def __contains__(self, token):
         return token in self._index
@@ -232,49 +233,40 @@ def load_kb(entities_file, predicates_file):
     return entities, predicates, kbvocab
 
 
-def _dedup(tokens):
-    seen = {}
-    for t in tokens:
-        if t not in seen:
-            seen[t] = None
-    return tuple(seen)
-
-
-def build_context_set(fact, entities, predicates, kbvocab, vocab=None, diversified=True):
-    """Assemble the three textual contexts for a fact.
-
-    Diversified mode concatenates DS patterns with domain/range/topic for the
-    predicate and frequent with notable types for each entity (first
-    occurrence kept on dedup, patterns leading). The basic mode keeps only
-    DS patterns and frequent types, falling back to a single UNK token when a
-    predicate has no patterns.
-    """
-    try:
-        s_rec = entities[kbvocab.token(fact.subject)]
-        p_rec = predicates[kbvocab.token(fact.predicate)]
-        o_rec = entities[kbvocab.token(fact.object)]
-    except (KeyError, IndexError) as exc:
-        raise IngestionError(f"unresolvable id in fact {fact}: {exc}") from None
-
-    pattern_tokens = tuple(t for pat in p_rec.ds_patterns for t in pat)
-    if diversified:
-        pred = _dedup(pattern_tokens + p_rec.domain_words + p_rec.range_words + p_rec.topic_words)
-        subj = _dedup(s_rec.frequent_type + s_rec.notable_type)
-        obj = _dedup(o_rec.frequent_type + o_rec.notable_type)
+def context_words(rec, diversified=True):
+    """One KB atom's context: an entity's frequent then notable type words, or a
+    predicate's DS pattern words then its domain/range/topic words. The basic
+    mode keeps only the first part; an empty context is a single UNK token
+    (load_kb refuses records that would leave a diversified one empty)."""
+    if isinstance(rec, EntityRecord):
+        first, rest = rec.frequent_type, rec.notable_type
     else:
-        pred = _dedup(pattern_tokens) or (SPECIAL_TOKENS[UNK],)
-        subj = _dedup(s_rec.frequent_type) or (SPECIAL_TOKENS[UNK],)
-        obj = _dedup(o_rec.frequent_type) or (SPECIAL_TOKENS[UNK],)
+        first = tuple(t for pat in rec.ds_patterns for t in pat)
+        rest = rec.domain_words + rec.range_words + rec.topic_words
+    words = tuple(dict.fromkeys(first + rest if diversified else first))  # first occurrences kept
+    return (words or (SPECIAL_TOKENS[UNK],))[:CONTEXT_CAP]
 
-    subj, pred, obj = subj[:CONTEXT_CAP], pred[:CONTEXT_CAP], obj[:CONTEXT_CAP]
-    ids = {}
-    if vocab is not None:
-        ids = dict(
-            subject_ids=tuple(vocab.id(t) for t in subj),
-            predicate_ids=tuple(vocab.id(t) for t in pred),
-            object_ids=tuple(vocab.id(t) for t in obj),
-        )
-    return ContextSet(subject_words=subj, predicate_words=pred, object_words=obj, **ids)
+
+def build_context_set(fact, entities, predicates, kbvocab, vocab=None, diversified=True, memo=None):
+    """The context_words of a fact's subject, predicate and object, with their word ids.
+
+    ``memo``, a dict kept for one vocab and mode, maps each KB id to its
+    context words and ids, so that each is built once.
+    """
+    memo = {} if memo is None else memo
+    atoms = []
+    for idx, records in ((fact.subject, entities), (fact.predicate, predicates), (fact.object, entities)):
+        try:
+            kb_id = kbvocab.token(idx)
+            rec = records[kb_id]
+        except (KeyError, IndexError) as exc:
+            raise IngestionError(f"unresolvable id in fact {fact}: {exc}") from None
+        if kb_id not in memo:
+            words = context_words(rec, diversified)
+            memo[kb_id] = words, (() if vocab is None else vocab.ids(words))
+        atoms.append(memo[kb_id])
+    (subj, subj_ids), (pred, pred_ids), (obj, obj_ids) = atoms
+    return ContextSet(subj, pred, obj, subj_ids, pred_ids, obj_ids)
 
 
 def substitute_subject(question_tokens, name_tokens):
@@ -284,34 +276,51 @@ def substitute_subject(question_tokens, name_tokens):
     leftmost occurrence is replaced. Returns (tokens, span or None) where
     span is (start, length) in the original token list.
     """
-    n = len(name_tokens)
-    if n == 0:
-        return tuple(question_tokens), None
-    for start in range(len(question_tokens) - n + 1):
-        if tuple(question_tokens[start : start + n]) == tuple(name_tokens):
-            out = tuple(question_tokens[:start]) + (SPECIAL_TOKENS[SUBJ],) + tuple(
-                question_tokens[start + n :]
-            )
-            return out, (start, n)
-    return tuple(question_tokens), None
+    tokens, name = tuple(question_tokens), tuple(name_tokens)
+    n = len(name)
+    if 0 < n <= len(tokens):
+        start, stop = 0, len(tokens) - n + 1
+        try:
+            while True:  # candidate starts are the positions of the name's first token
+                start = tokens.index(name[0], start, stop)
+                if tokens[start : start + n] == name:
+                    return tokens[:start] + (SPECIAL_TOKENS[SUBJ],) + tokens[start + n :], (start, n)
+                start += 1
+        except ValueError:
+            pass
+    return tokens, None
 
 
-def prepare_example(raw_question, fact, entities, predicates, kbvocab, vocab, diversified=True):
-    """Build a training/eval Example from one raw question and its fact."""
+def prepare_example(raw_question, fact, entities, predicates, kbvocab, vocab, diversified=True,
+                    substituted=None, memo=None):
+    """Build a training/eval Example from one raw question and its fact.
+
+    ``substituted`` is what substitute_subject returned for the question, when
+    the caller has it. ``memo`` is build_context_set's; it also keeps each
+    fact's ContextSet and each object context's answer words, which examples
+    then share.
+    """
     raw_tokens = tuple(tokenize(raw_question)) if isinstance(raw_question, str) else tuple(raw_question)
     if not raw_tokens:
         raise IngestionError("empty question")
-    subject_name = entities[kbvocab.token(fact.subject)].name
-    subst, span = substitute_subject(raw_tokens, subject_name)
-    contexts = build_context_set(fact, entities, predicates, kbvocab, vocab, diversified)
-    question_ids = (BOS,) + tuple(vocab.id(t) for t in subst) + (EOS,)
+    if substituted is None:
+        substituted = substitute_subject(raw_tokens, entities[kbvocab.token(fact.subject)].name)
+    subst, span = substituted
+    memo = {} if memo is None else memo
+    contexts = memo.get(fact)
+    if contexts is None:
+        contexts = memo[fact] = build_context_set(
+            fact, entities, predicates, kbvocab, vocab, diversified, memo)
+    answer_words = memo.get(contexts.object_words)
+    if answer_words is None:
+        answer_words = memo[contexts.object_words] = tuple(sorted(set(contexts.object_words)))
     return Example(
         fact=fact,
         contexts=contexts,
-        question=question_ids,
+        question=(BOS, *vocab.ids(subst), EOS),
         question_words=subst,
         raw_question_words=raw_tokens,
-        answer_type_words=tuple(sorted(set(contexts.object_words))),
+        answer_type_words=answer_words,
         subject_span=span,
     )
 
@@ -356,7 +365,12 @@ def load_facts(path, kbvocab):
 
 
 def load_dataset(data_dir, diversified=True, min_freq=2):
-    """Load a corpus directory into Examples with a train-derived vocabulary."""
+    """Load a corpus directory into Examples with a train-derived vocabulary.
+
+    Each question is tokenized and subject-substituted once: the train split's
+    substituted tokens count the vocabulary and then make its examples. One
+    memo builds each KB atom's context and each fact's ContextSet once.
+    """
     data_dir = Path(data_dir)
     entities, predicates, kbvocab = load_kb(
         data_dir / "entities.tsv", data_dir / "predicates.tsv"
@@ -369,19 +383,20 @@ def load_dataset(data_dir, diversified=True, min_freq=2):
     if "train" not in rows:
         raise IngestionError(f"{data_dir}: missing facts.train.tsv")
 
-    # vocabulary counts run over subject-substituted training questions
-    substituted = []
-    for fact, question in rows["train"]:
-        name = entities[kbvocab.token(fact.subject)].name
-        toks, _ = substitute_subject(tokenize(question), name)
-        substituted.append(toks)
-    vocab = Vocab.from_questions(substituted, min_freq=min_freq)
+    names = [entities[kbvocab.token(i)].name for i in range(kbvocab.n_entities)]
+    questions = {split: [] for split in rows}  # (raw tokens, substitute_subject's result) per row
+    for split, split_rows in rows.items():
+        for fact, question in split_rows:
+            raw = tuple(tokenize(question))
+            questions[split].append((raw, substitute_subject(raw, names[fact.subject])))
+    vocab = Vocab.from_questions((subst for _, (subst, _) in questions["train"]), min_freq=min_freq)
 
     dataset = Dataset(entities, predicates, kbvocab, vocab)
+    memo = {}
     for split, split_rows in rows.items():
         dataset.splits[split] = [
-            prepare_example(question, fact, entities, predicates, kbvocab, vocab, diversified)
-            for fact, question in split_rows
+            prepare_example(raw, fact, entities, predicates, kbvocab, vocab, diversified, substituted, memo)
+            for (fact, _), (raw, substituted) in zip(split_rows, questions[split])
         ]
     return dataset
 

@@ -23,6 +23,13 @@ from .corpus import EOS
 from .textckpt import ConfigError
 
 INIT_RANGE = 0.08
+MISFITS_NAMED = 5  # per kind of misfit, so that a refusal stays one short line
+
+
+def _capped(names):
+    if len(names) <= MISFITS_NAMED:
+        return repr(names)
+    return f"{repr(names[:MISFITS_NAMED])[:-1]}, … and {len(names) - MISFITS_NAMED} more]"
 
 
 def check_fit(kind, arrays, shapes):
@@ -30,8 +37,8 @@ def check_fit(kind, arrays, shapes):
     missing, unknown = sorted(shapes.keys() - arrays.keys()), sorted(arrays.keys() - shapes.keys())
     wrong = [f"{n} {a.shape}" for n, a in arrays.items() if n in shapes and a.shape != shapes[n]]
     if missing or unknown or wrong:
-        raise ConfigError(f"checkpoint {kind}s do not fit this model: missing {missing}, "
-                          f"unknown {unknown}, wrong shape {wrong}")
+        raise ConfigError(f"checkpoint {kind}s do not fit this model: missing {_capped(missing)}, "
+                          f"unknown {_capped(unknown)}, wrong shape {_capped(wrong)}")
 
 
 @dataclass

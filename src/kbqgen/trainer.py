@@ -103,7 +103,12 @@ class TrainConfig:
         return "\n".join(lines) + "\n"
 
     def hash(self):
-        return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
+        return config_hash(self.canonical_text())
+
+
+def config_hash(text):
+    """The confighash of canonical key=value config text."""
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 _PAPER_PROFILE = {"d": 200, "heads": 4, "layers": 5, "batch_size": 200}
@@ -228,12 +233,15 @@ def load_checkpoint(path):
     moments = {b[len("moment/"):]: arr for b, arr in blocks.items() if b.startswith("moment/")}
     if len(tensors) + len(moments) != len(blocks):
         raise ConfigError(f"{path}: a block named neither tensor/<name> nor moment/<name>")
-    return Checkpoint(
+    ckpt = Checkpoint(
         tensors=tensors, moments=moments,
         epoch=textckpt.field(path, header, "epoch", int),
         config_hash=textckpt.field(path, header, "confighash"),
         config_text="".join(line + "\n" for line in header.get("config", ())),
     )
+    if ckpt.config_hash != config_hash(ckpt.config_text):
+        raise ConfigError(f"{path}: its confighash {ckpt.config_hash} is not the hash of its config lines")
+    return ckpt
 
 
 def _snapshot(model, optimizer, epoch, config):

@@ -5,6 +5,7 @@ import pytest
 from kbqgen import cli
 from kbqgen import corpus as cp
 from kbqgen import textckpt
+from kbqgen import trainer as tr
 
 
 def run(*argv):
@@ -256,14 +257,26 @@ def test_generate_on_checkpoint_cut_mid_row_is_exit_2(tmp_path, data_dir, traine
     assert "Traceback" not in err and not (tmp_path / "gen.tsv").exists()
 
 
+def resign_config(src, dst, old, new, rehash=True):
+    """Rewrite checkpoint src to dst with config line old replaced by new.
+
+    With ``rehash`` the confighash line is the hash of the edited config lines;
+    without it the original hash stays, stale.
+    """
+    header, blocks = textckpt.read(src)
+    assert old in header["config"]
+    config = [new if line == old else line for line in header["config"]]
+    header["config"] = config
+    if rehash:
+        header["confighash"] = [tr.config_hash("".join(line + "\n" for line in config))]
+    textckpt.write(dst, [(key, value) for key, values in header.items() for value in values],
+                   blocks.items())
+
+
 def test_generate_on_checkpoint_of_other_dims_is_exit_2(tmp_path, data_dir, capsys):
     assert run("train", "--data-dir", data_dir, "--out-dir", tmp_path / "run", "--set", "epochs=0") == 0
-    header, blocks = textckpt.read(tmp_path / "run" / "model.ckpt")
-    assert "d=32" in header["config"]
-    edited = [(key, "d=16" if (key, value) == ("config", "d=32") else value)
-              for key, values in header.items() for value in values]
     other = tmp_path / "other.ckpt"
-    textckpt.write(other, edited, blocks.items())
+    resign_config(tmp_path / "run" / "model.ckpt", other, "d=32", "d=16")
     capsys.readouterr()
     code = run("generate", "--checkpoint", other, "--data-dir", data_dir,
                "--split", "test", "--out", tmp_path / "gen.tsv")
@@ -272,6 +285,24 @@ def test_generate_on_checkpoint_of_other_dims_is_exit_2(tmp_path, data_dir, caps
     assert err.startswith("error: checkpoint tensors do not fit this model: missing [], unknown [], "
                           "wrong shape ['word_emb (") and err.count("\n") == 1
     assert "Traceback" not in err and not (tmp_path / "gen.tsv").exists()
+    # five misfits named, the rest counted: one short line whatever the model's size
+    assert err.rstrip("\n").endswith(" more]") and err.count(" (") == 5 and len(err) < 400
+
+
+def test_generate_on_checkpoint_with_a_stale_confighash_is_exit_2(tmp_path, data_dir, trained, capsys):
+    stale = tmp_path / "stale.ckpt"
+    resign_config(trained / "model" / "model.ckpt", stale, "use_ctx_copy=true", "use_ctx_copy=false",
+                  rehash=False)
+    code = run("generate", "--checkpoint", stale, "--data-dir", data_dir,
+               "--split", "test", "--out", tmp_path / "gen.tsv")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {stale}: its confighash ") and err.count("\n") == 1
+    assert err.endswith(" is not the hash of its config lines\n") and not (tmp_path / "gen.tsv").exists()
+    # the same edit signed with its own hash loads
+    resign_config(trained / "model" / "model.ckpt", stale, "use_ctx_copy=true", "use_ctx_copy=false")
+    assert run("generate", "--checkpoint", stale, "--data-dir", data_dir,
+               "--split", "test", "--out", tmp_path / "gen.tsv") == 0
 
 
 def test_over_long_question_is_exit_2_before_any_epoch(tmp_path, data_dir, capsys):
@@ -401,6 +432,22 @@ def test_bad_numeric_argument_is_exit_2(tmp_path, data_dir, trained, capsys,
                 "--out", tmp_path / "gen.tsv")
     assert run(command, flag, value, *rest) == 2
     assert capsys.readouterr().err == f"error: {flag} {problem}\n"
+
+
+def test_components_grid_loads_each_distinct_dataset_once(tmp_path, data_dir, monkeypatch):
+    loads = []
+    load_dataset = cp.load_dataset
+    monkeypatch.setattr(cp, "load_dataset", lambda *a, **kw: loads.append(kw) or load_dataset(*a, **kw))
+    overrides = ["epochs=1", "d=8", "heads=2", "layers=1"]
+    assert run("ablate", "--grid", "components", "--seeds", "0", "--data-dir", data_dir,
+               "--out-dir", tmp_path, *[arg for o in overrides for arg in ("--set", o)]) == 0
+    assert sorted(kw["diversified"] for kw in loads) == [False, True]
+    # the table is the one that a fresh load per variant gives
+    rows = tr.ablate_components(tr.parse_config(overrides=overrides),
+                                lambda diversified: load_dataset(data_dir, diversified=diversified),
+                                seeds=[0])
+    body = [f"{r['variant']}\t{r['bleu4_median']:.4f}\t{r['bleu4_runs'][0]:.4f}" for r in rows]
+    assert (tmp_path / "ablate_components.tsv").read_text().splitlines()[1:] == body
 
 
 def test_seeds_with_lambda_transe_grid_is_exit_2(tmp_path, data_dir, capsys):

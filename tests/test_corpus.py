@@ -2,7 +2,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kbqgen import corpus as cp
@@ -120,6 +120,29 @@ def test_substitute_subject_first_occurrence_only():
     assert span == (1, 2)
 
 
+def naive_substitute(tokens, name):
+    """The leftmost exact match of name in tokens, tried at every start position."""
+    tokens, name = tuple(tokens), tuple(name)
+    for start in range(len(tokens) - len(name) + 1):
+        if name and tokens[start:start + len(name)] == name:
+            return tokens[:start] + ("<subj>",) + tokens[start + len(name):], (start, len(name))
+    return tokens, None
+
+
+_WORDS = st.sampled_from(["a", "b", "c"])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_WORDS, max_size=10), st.lists(_WORDS, max_size=4))
+@example(["a", "a", "b", "a", "a", "b", "a", "a", "c"], ["a", "a", "c"])  # repeated partial matches
+@example(["b", "c", "a", "b"], ["a", "b"])  # the name at the end
+@example(["a", "b"], ["a", "b", "c"])  # a name longer than the question
+@example(["a"], [])
+def test_substitute_subject_equals_a_scan_of_every_start(tokens, name):
+    assert cp.substitute_subject(tokens, name) == naive_substitute(tokens, name)
+    assert cp.substitute_subject(tuple(tokens), tuple(name)) == naive_substitute(tokens, name)
+
+
 def test_prepare_example_empty_question_rejected(tmp_path):
     entities, predicates, kbvocab = _tiny_kb(tmp_path)
     with pytest.raises(cp.IngestionError):
@@ -233,3 +256,91 @@ def test_fuzzed_tsv_files_load_or_fail_cleanly(files):
         for examples in dataset.splits.values():
             for ex in examples:
                 assert ex.fact.subject < n and ex.fact.object < n <= ex.fact.predicate
+
+
+def reference_load(data_dir, diversified, min_freq):
+    """(vocab tokens, splits) by the per-example algorithm: each question
+    tokenized and substituted for the vocabulary, then again per example,
+    and all three contexts rebuilt for every example."""
+    data_dir = Path(data_dir)
+    entities, predicates, kbvocab = cp.load_kb(data_dir / "entities.tsv", data_dir / "predicates.tsv")
+    rows = {split: cp.load_facts(data_dir / f"facts.{split}.tsv", kbvocab)
+            for split in ("train", "valid", "test") if (data_dir / f"facts.{split}.tsv").exists()}
+
+    def name(fact):
+        return entities[kbvocab.token(fact.subject)].name
+
+    counts = {}
+    for fact, question in rows["train"]:
+        for t in naive_substitute(cp.tokenize(question), name(fact))[0]:
+            counts[t] = counts.get(t, 0) + 1
+    vocab = cp.Vocab(sorted(t for t, c in counts.items() if c >= min_freq and t not in cp.SPECIAL_TOKENS))
+
+    def context(words, fallback):
+        words = tuple(dict.fromkeys(words)) or fallback
+        return words[:cp.CONTEXT_CAP], tuple(vocab.id(t) for t in words[:cp.CONTEXT_CAP])
+
+    def example(fact, question):
+        s, p, o = (kbvocab.token(i) for i in (fact.subject, fact.predicate, fact.object))
+        s_rec, p_rec, o_rec = entities[s], predicates[p], entities[o]
+        patterns = tuple(t for pat in p_rec.ds_patterns for t in pat)
+        if diversified:
+            subj = context(s_rec.frequent_type + s_rec.notable_type, ())
+            pred = context(patterns + p_rec.domain_words + p_rec.range_words + p_rec.topic_words, ())
+            obj = context(o_rec.frequent_type + o_rec.notable_type, ())
+        else:
+            subj, pred, obj = (context(words, ("<unk>",))
+                               for words in (s_rec.frequent_type, patterns, o_rec.frequent_type))
+        raw = tuple(cp.tokenize(question))
+        subst, span = naive_substitute(raw, name(fact))
+        contexts = cp.ContextSet(subj[0], pred[0], obj[0], subj[1], pred[1], obj[1])
+        return cp.Example(fact, contexts, (cp.BOS,) + tuple(vocab.id(t) for t in subst) + (cp.EOS,),
+                          subst, raw, tuple(sorted(set(obj[0]))), span)
+
+    return vocab.tokens, {split: [example(*row) for row in split_rows] for split, split_rows in rows.items()}
+
+
+def _hand_corpus(root):
+    """Shared entity types, a subject named twice, a partial name match, OOV
+    context words, a question without its subject and a fact in two splits."""
+    files = {
+        "entities.tsv": "e0\told star\tcity\tcity\n"
+                        "e1\tred lake\tcity\tlake\n"
+                        "e2\told\tmetropolis\tcity\n"
+                        "e3\tstar\tsettlement\tcity\n",
+        "predicates.tsv": "p0\tlocated\tin\tplace\tx is in y;located in\n"
+                          "p1\tnear\tcontainment\tvicinity\t\n",
+        "facts.train.tsv": "e0\tp0\te1\twhich old star is old star in ?\n"
+                           "e1\tp1\te0\tis red river near red lake ?\n"
+                           "e2\tp0\te3\twhere is old ?\n"
+                           "e0\tp1\te2\tis old star near old ?\n"
+                           "e3\tp1\te0\twhat is near it ?\n",
+        "facts.valid.tsv": "e0\tp0\te1\twhere is the old star ?\n",
+        "facts.test.tsv": "e1\tp1\te0\tred red lake lake ?\n"
+                          "e3\tp0\te2\tstar star old star ?\n",
+    }
+    for name, text in files.items():
+        (root / name).write_text(text, encoding="utf-8")
+    return root
+
+
+@pytest.mark.parametrize("diversified", [True, False])
+@pytest.mark.parametrize("min_freq", [1, 2])
+@pytest.mark.parametrize("which", ["synth", "hand-built"])
+def test_load_dataset_equals_the_per_example_algorithm(tmp_path, which, diversified, min_freq):
+    if which == "synth":
+        cp.write_corpus(cp.synth_corpus(3, n_entities=24, n_predicates=8, n_facts=80), tmp_path)
+    else:
+        _hand_corpus(tmp_path)
+    dataset = cp.load_dataset(tmp_path, diversified=diversified, min_freq=min_freq)
+    tokens, splits = reference_load(tmp_path, diversified, min_freq)
+    assert dataset.vocab.tokens == tokens
+    assert list(dataset.splits) == list(splits)
+    for split, examples in splits.items():
+        assert dataset.examples(split) == examples
+    if which == "hand-built":
+        assert "metropolis" not in dataset.vocab
+        # one fact in two splits shares its contexts; one entity its context words
+        train, valid = dataset.examples("train"), dataset.examples("valid")
+        assert valid[0].contexts is train[0].contexts
+        assert train[0].contexts.subject_words is train[3].contexts.subject_words

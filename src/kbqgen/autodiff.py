@@ -391,15 +391,11 @@ class Layout:
     ``bias`` [S, Tq, Tk] is added to every head's scores: -inf on pad keys
     and, causally, on keys after the query's own position; a pad query row
     gets zeros, so no softmax row is all -inf (its output is dropped).
-    A side that is None is one sequence of all its rows.
     """
 
-    queries: Sequences | None
-    keys: Sequences | None
+    queries: Sequences
+    keys: Sequences
     bias: np.ndarray | None
-
-
-WHOLE = Layout(None, None, None)  # one sequence of all rows on each side
 
 
 def layout(q_lengths, k_lengths=None, causal=False):
@@ -418,8 +414,8 @@ def layout(q_lengths, k_lengths=None, causal=False):
 
 
 def _split_heads(rows, seqs, n_heads):
-    """Packed [n, d] rows -> padded [S, heads, T, d/heads]; seqs None is one sequence."""
-    padded = rows[None] if seqs is None else seqs.pad(rows)
+    """Packed [n, d] rows -> padded [S, heads, T, d/heads]."""
+    padded = seqs.pad(rows)
     s, t, d = padded.shape
     return padded.reshape(s, t, n_heads, d // n_heads).transpose(0, 2, 1, 3)
 
@@ -427,11 +423,10 @@ def _split_heads(rows, seqs, n_heads):
 def _merge_heads(blocks, seqs):
     """Padded [S, heads, T, dh] -> packed [n, heads*dh], pad rows dropped."""
     s, h, t, dh = blocks.shape
-    merged = blocks.transpose(0, 2, 1, 3).reshape(s, t, h * dh)
-    return merged[0] if seqs is None else seqs.unpad(merged)
+    return seqs.unpad(blocks.transpose(0, 2, 1, 3).reshape(s, t, h * dh))
 
 
-def attention_forward(x, K, V, w, n_heads, layout=None, mask=None):
+def attention_forward(x, K, V, w, n_heads, layout, mask=None):
     """Attention sublayer on arrays: LayerNorm(x + Dropout(heads(x, K, V) W_o)).
 
     x [n,d] holds the query rows; K and V [m,d] are keys and values already
@@ -443,7 +438,6 @@ def attention_forward(x, K, V, w, n_heads, layout=None, mask=None):
     """
     d = x.shape[1]
     scale_factor = 1.0 / math.sqrt(d / n_heads)
-    layout = layout or WHOLE
     Q = x @ w.wq.value.data
     Qp = _split_heads(Q, layout.queries, n_heads)
     Kp = _split_heads(K, layout.keys, n_heads)
@@ -457,7 +451,7 @@ def attention_forward(x, K, V, w, n_heads, layout=None, mask=None):
     return out, (scale_factor, Qp, Kp, Vp, heads, attn, norm)
 
 
-def attention_block(x, kv, w, n_heads, layout=None, mask=None):
+def attention_block(x, kv, w, n_heads, layout, mask=None):
     """Recorded attention sublayer: Q/K/V projections, per-head attention,
     output projection, dropout, residual and layer norm as one op.
 
@@ -468,7 +462,6 @@ def attention_block(x, kv, w, n_heads, layout=None, mask=None):
     wq, wk, wv, wo = w.wq.value, w.wk.value, w.wv.value, w.wo.value
     K = kv.data @ wk.data
     V = kv.data @ wv.data
-    layout = layout or WHOLE
     out, (scale_factor, Qp, Kp, Vp, heads, attn, norm) = attention_forward(
         x.data, K, V, w, n_heads, layout, mask
     )

@@ -1,15 +1,14 @@
 """Batch command-line interface for the whole pipeline.
 
 Subcommands: synth, train, generate, eval, gradcheck, ablate.
-Every command is deterministic for a fixed --seed (64-bit mode) and writes
-only under its --out/--out-dir. Exit codes: 0 success, 1 runtime failure,
-2 usage or config error.
+Every command is deterministic for a fixed --seed (--seeds for ablate, 64-bit
+mode) and writes only under its --out/--out-dir. Exit codes: 0 success, 1
+runtime failure, 2 usage or config error.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 from pathlib import Path
 
@@ -21,15 +20,10 @@ from .model import Model
 
 
 def _config_from_args(args, extra_overrides=()):
-    overrides = list(extra_overrides)
-    for item in getattr(args, "set", None) or []:
-        overrides.append(item)
-    if getattr(args, "lam", None) is not None:
-        overrides.append(f"lam={args.lam}")
-    if getattr(args, "transe", None) is not None:
-        overrides.append(f"transe={args.transe}")
-    if getattr(args, "seed", None) is not None:
-        overrides.append(f"seed={args.seed}")
+    overrides = [*extra_overrides, *(getattr(args, "set", None) or [])]
+    for key in ("lam", "transe", "seed"):  # the --lambda, --transe and --seed flags
+        if getattr(args, key, None) is not None:
+            overrides.append(f"{key}={getattr(args, key)}")
     return tr.parse_config(path=getattr(args, "config", None), overrides=overrides)
 
 
@@ -183,8 +177,6 @@ def cmd_gradcheck(args):
 
 
 def _seeds(text):
-    if text is None:
-        return [0, 1, 2]
     try:
         return [int(s) for s in text.split(",")]
     except ValueError:
@@ -192,38 +184,19 @@ def _seeds(text):
 
 
 def cmd_ablate(args):
-    if args.seeds is not None and args.grid != "components":
-        raise tr.ConfigError("--seeds applies only to the components grid")
     cfg = _config_from_args(args)
+
+    def load(diversified):
+        return cp.load_dataset(args.data_dir, diversified=diversified, min_freq=cfg.min_freq)
+
+    rows = tr.ablate(cfg, load, args.grid, _seeds(args.seeds), log=lambda r: print(_fmt_row(r)))
+    lines = ["cell\tseed\tbleu4\tanswer_coverage"]
+    lines += [f"{r['cell']}\t{r['seed']}\t{r['bleu4']:.4f}\t{r['answer_coverage']:.4f}" for r in rows]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    seeds = _seeds(args.seeds)
-    if args.grid == "lambda-transe":
-        dataset = cp.load_dataset(args.data_dir, diversified=cfg.diversified, min_freq=cfg.min_freq)
-        rows = tr.ablate_lambda_transe(cfg, dataset, log=lambda r: print(_fmt_row(r)))
-        header = "transe\tlambda\tbleu4\tanswer_coverage"
-        body = [
-            f"{str(r['transe']).lower()}\t{r['lambda']}\t{r['bleu4']:.4f}\t{r['answer_coverage']:.4f}"
-            for r in rows
-        ]
-        (out_dir / "ablate_lambda_transe.tsv").write_text(
-            "".join(l + "\n" for l in [header] + body), encoding="utf-8"
-        )
-    else:
-        @functools.cache  # each distinct dataset once: the variants only read it
-        def load(diversified):
-            return cp.load_dataset(args.data_dir, diversified=diversified, min_freq=cfg.min_freq)
-
-        rows = tr.ablate_components(cfg, load, seeds=seeds, log=lambda r: print(_fmt_row(r)))
-        header = "variant\tbleu4_median\tbleu4_runs"
-        body = [
-            f"{r['variant']}\t{r['bleu4_median']:.4f}\t"
-            + ",".join(f"{b:.4f}" for b in r["bleu4_runs"])
-            for r in rows
-        ]
-        (out_dir / "ablate_components.tsv").write_text(
-            "".join(l + "\n" for l in [header] + body), encoding="utf-8"
-        )
+    (out_dir / f"ablate_{args.grid.replace('-', '_')}.tsv").write_text(
+        "".join(l + "\n" for l in lines), encoding="utf-8"
+    )
     print(f"wrote ablation table to {out_dir}")
     return 0
 
@@ -282,8 +255,7 @@ def build_parser():
     p.add_argument("--data-dir", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--grid", choices=["lambda-transe", "components"], default="lambda-transe")
-    p.add_argument("--seeds", help="comma-separated seeds for the components grid")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seeds", default="0,1,2", help="comma-separated seeds, each run on every cell")
     p.add_argument("--set", action="append", metavar="KEY=VALUE")
     p.set_defaults(fn=cmd_ablate)
     return parser

@@ -407,6 +407,7 @@ class Generator:
         empty = np.empty((1, 0, params.d), dtype=h_f.dtype)
         self.self_cache = [(empty, empty) for _ in params.layers]
         self.queries = ad.Sequences([1])  # one query per row, each its own sequence
+        self.to_fact = ad.Layout(ad.Sequences([1]), ad.Sequences([3]), None)  # all rows see the 3 fact rows
         self.t = 0
         self.mode_offsets = mode_mask(model.use_kb_copy, model.use_ctx_copy)
 
@@ -414,6 +415,7 @@ class Generator:
         """Continue with the given rows: new row i carries on from old row rows[i]."""
         self.self_cache = [(ks[rows], vs[rows]) for ks, vs in self.self_cache]
         self.queries = ad.Sequences([1] * len(rows))
+        self.to_fact = ad.Layout(ad.Sequences([len(rows)]), ad.Sequences([3]), None)
 
     def step(self, token_ids):
         """Feed one input id per row; returns (dist, modes, p_vocab, p_ctx) of [rows, ·]."""
@@ -433,7 +435,8 @@ class Generator:
             self.self_cache[li] = (ks, vs)
             x, _ = ad.attention_forward(x, ks.reshape(-1, ks.shape[2]), vs.reshape(-1, ks.shape[2]),
                                         attn, params.n_heads, own_steps)
-            x, _ = ad.attention_forward(x, *self.fact_kv[li], layer.fact_attn, params.n_heads)
+            x, _ = ad.attention_forward(x, *self.fact_kv[li], layer.fact_attn, params.n_heads,
+                                        self.to_fact)
             x, _ = ad.ffn_forward(x, layer.ffn)
 
         modes, _ = mode_forward(x, emb, params, self.mode_offsets)

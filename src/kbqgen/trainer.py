@@ -34,6 +34,11 @@ EPSILON = 1e-8
 CHUNK = 32
 
 
+_POSITIVE = ("lr0", "transe_lr", "transe_margin")
+_AT_LEAST = {"seed": 0, "max_len": 2, "transe_epochs": 0, "transe_neg": 1,
+             "grad_clip": 0, "patience": 0, "min_freq": 1}
+
+
 @dataclass
 class TrainConfig:
     lr0: float = 0.001
@@ -66,16 +71,18 @@ class TrainConfig:
     profile: str = "desk"
 
     def validate(self):
-        if self.lr0 <= 0:
-            raise ConfigError(f"lr0 must be positive, got {self.lr0}")
+        for key in _POSITIVE:
+            if getattr(self, key) <= 0:
+                raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
+        for key, low in _AT_LEAST.items():
+            if getattr(self, key) < low:
+                raise ConfigError(f"{key} must be >= {low}, got {getattr(self, key)}")
         if not 0 < self.lr_decay <= 1:
             raise ConfigError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
         if self.lam < 0:
             raise ConfigError(f"lambda must be >= 0, got {self.lam}")
         if self.batch_size < 1 or self.epochs < 0:
             raise ConfigError("batch_size must be >= 1 and epochs >= 0")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if min(self.d, self.heads, self.layers) < 1:
             raise ConfigError(f"d, heads and layers must be >= 1, got {self.d}, {self.heads}, {self.layers}")
         if self.d % self.heads:
@@ -84,8 +91,6 @@ class TrainConfig:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.dtype not in ("float64", "float32"):
             raise ConfigError(f"dtype must be float64 or float32, got {self.dtype}")
-        if self.max_len < 2:
-            raise ConfigError(f"max_len must be >= 2, got {self.max_len}")
         if self.profile not in ("desk", "paper"):
             raise ConfigError(f"profile must be desk or paper, got {self.profile}")
         return self
@@ -367,11 +372,11 @@ def decode_split(model, dataset, split, beam=1, max_len=32):
     return outputs
 
 
-def valid_bleu(model, dataset, split="valid", max_len=32):
-    decoded = decode_split(model, dataset, split, max_len=max_len)
+def valid_bleu(model, dataset, max_len=32):
+    decoded = decode_split(model, dataset, "valid", max_len=max_len)
     return metrics.bleu4(
         [tokens for tokens, _ in decoded],
-        [list(ex.raw_question_words) for ex in dataset.examples(split)],
+        [list(ex.raw_question_words) for ex in dataset.examples("valid")],
     )
 
 
@@ -470,58 +475,52 @@ def model_from_checkpoint(config, dataset, ckpt):
 
 LAMBDA_GRID = (0.0, 0.05, 0.2, 0.5, 1.0)
 
-COMPONENT_VARIANTS = (
-    ("full", {}),
-    ("no_ctx_copy", {"use_ctx_copy": False}),
-    ("no_kb_copy", {"use_kb_copy": False}),
-    ("no_answer_loss", {"question_only": True}),
-    ("no_diversified_contexts", {"diversified": False}),
-)
+# grid name -> (split it scores, cells); a cell is a name and the config keys it sets
+GRIDS = {
+    "lambda-transe": ("test", tuple(
+        (f"{'transe' if transe else 'no_transe'}_lambda_{lam}", {"transe": transe, "lam": lam})
+        for transe in (True, False) for lam in LAMBDA_GRID
+    )),
+    "components": ("valid", (
+        ("full", {"diversified": True}),
+        ("no_ctx_copy", {"use_ctx_copy": False, "diversified": True}),
+        ("no_kb_copy", {"use_kb_copy": False, "diversified": True}),
+        ("no_answer_loss", {"question_only": True, "diversified": True}),
+        ("no_diversified_contexts", {"diversified": False}),
+    )),
+}
 
 
-def ablate_lambda_transe(config, dataset, lambdas=LAMBDA_GRID, transe_options=(True, False),
-                         split="test", log=None):
-    """Grid over answer-loss weight x TransE init (pretrained once); BLEU-4 and coverage per cell."""
-    examples = dataset.examples(split)
-    kb_matrix = pretrain_kb(config, dataset) if any(transe_options) else None
-    rows = []
-    for use_transe in transe_options:
-        for lam in lambdas:
-            run_cfg = replace(config, lam=lam, transe=use_transe)
-            ckpt = train(run_cfg, dataset, kb_matrix=kb_matrix if use_transe else None).best
-            model = model_from_checkpoint(run_cfg, dataset, ckpt)
-            tokens = [t for t, _ in decode_split(model, dataset, split, max_len=config.max_len)]
-            bleu = metrics.bleu4(tokens, [list(ex.raw_question_words) for ex in examples])
-            coverage = metrics.answer_coverage(tokens, [set(ex.answer_type_words) for ex in examples])
-            rows.append({"transe": use_transe, "lambda": lam, "bleu4": bleu, "answer_coverage": coverage})
-            if log is not None:
-                log(rows[-1])
-    return rows
+def ablate(config, load_dataset_fn, grid, seeds, log=None):
+    """Run each cell of GRIDS[grid] for each seed; one row per cell and seed, in table order.
 
-
-def ablate_components(config, load_dataset_fn, seeds=(0, 1, 2), split="valid", log=None):
-    """Single-component ablations; per-variant median valid BLEU over seeds.
-
-    ``load_dataset_fn(diversified)`` supplies the dataset, since dropping
-    diversified contexts changes the data itself, not just the model. With
-    ``transe`` on, TransE is pretrained once per seed and shared by the
-    variants: they all keep the same facts.
+    A run trains config with the seed and the cell's keys set, rebuilds the
+    model from its best checkpoint and decodes the grid's split once for
+    BLEU-4 and answer coverage. ``load_dataset_fn(diversified)`` supplies
+    the data, since that key changes the data itself; each distinct dataset
+    is loaded once. TransE is pretrained at most once per seed and shared by
+    the cells that use it: they all keep the same facts. Every seed and the
+    split are checked before the first cell trains.
     """
-    kb_by_seed = {}
-    rows = []
-    for name, flags in COMPONENT_VARIANTS:
-        flags = {"diversified": True, **flags}
-        dataset = load_dataset_fn(flags["diversified"])
-        dataset.examples(split)  # refuse a missing split before any training
-        bleus = []
-        for seed in seeds:
-            run_cfg = replace(config, seed=seed, **flags)
-            if config.transe and seed not in kb_by_seed:
-                kb_by_seed[seed] = pretrain_kb(run_cfg, dataset)
-            ckpt = train(run_cfg, dataset, kb_matrix=kb_by_seed.get(seed)).best
-            model = model_from_checkpoint(run_cfg, dataset, ckpt)
-            bleus.append(valid_bleu(model, dataset, split, max_len=config.max_len))
-        rows.append({"variant": name, "bleu4_median": float(np.median(bleus)), "bleu4_runs": bleus})
+    split, cells = GRIDS[grid]
+    runs = [(name, replace(config, seed=seed, **keys).validate()) for name, keys in cells for seed in seeds]
+    datasets = {}
+    for _, run_cfg in runs:
+        if run_cfg.diversified not in datasets:
+            datasets[run_cfg.diversified] = load_dataset_fn(run_cfg.diversified)
+            datasets[run_cfg.diversified].examples(split)  # refuses a missing split
+    kb_by_seed, rows = {}, []
+    for name, run_cfg in runs:
+        dataset = datasets[run_cfg.diversified]
+        if run_cfg.transe and run_cfg.seed not in kb_by_seed:
+            kb_by_seed[run_cfg.seed] = pretrain_kb(run_cfg, dataset)
+        kb_matrix = kb_by_seed[run_cfg.seed] if run_cfg.transe else None
+        model = model_from_checkpoint(run_cfg, dataset, train(run_cfg, dataset, kb_matrix).best)
+        tokens = [t for t, _ in decode_split(model, dataset, split, max_len=run_cfg.max_len)]
+        examples = dataset.examples(split)
+        bleu = metrics.bleu4(tokens, [list(ex.raw_question_words) for ex in examples])
+        coverage = metrics.answer_coverage(tokens, [set(ex.answer_type_words) for ex in examples])
+        rows.append({"cell": name, "seed": run_cfg.seed, "bleu4": bleu, "answer_coverage": coverage})
         if log is not None:
             log(rows[-1])
     return rows

@@ -290,7 +290,7 @@ def test_multihead_attention_gradients(causal):
 
             def f():
                 out = ad.attention_block(x.value, x.value, w, 2,
-                                         layout=causal_layout(n) if causal else None, mask=mask)
+                                         layout=ad.layout([n], causal=causal), mask=mask)
                 return weighted_sum(out)
 
             assert check_op(f, [x] + sublayer_params(w)) < 1e-4
@@ -305,7 +305,8 @@ def test_multihead_attention_cross_gradients():
     for mask in (None, dropout_mask(rng, (3, d))):
 
         def f():
-            return weighted_sum(ad.attention_block(x.value, kv.value, w, 2, mask=mask))
+            return weighted_sum(ad.attention_block(x.value, kv.value, w, 2,
+                                                   layout=ad.layout([3], [2]), mask=mask))
 
         assert check_op(f, [x, kv] + sublayer_params(w)) < 1e-4
 
@@ -393,7 +394,7 @@ def test_sublayer_forward_matches_numpy_composition(case, masked):
         kernel, _ = ad.ffn_forward(x, w, mask)
     else:
         w = attention_weights(rng, d)
-        layout = causal_layout(n) if case == "causal" else None
+        layout = ad.layout([n], [len(kv)], causal=case == "causal")
         expected = numpy_attention(x, kv, w, heads, case == "causal", mask)
         kv_t = ad.tensor(kv)
         recorded = ad.attention_block(

@@ -122,6 +122,13 @@ def test_generate_reads_no_word_vector_file(tmp_path, data_dir):
     pytest.param(("train", "--set", "max_len=0"), "max_len must be >= 2, got 0", id="max-len-0"),
     pytest.param(("ablate", "--grid", "components", "--seeds=-1"), "seed must be >= 0, got -1",
                  id="ablate-seeds"),
+    pytest.param(("train", "--transe", "on", "--set", "transe_neg=0"), "transe_neg must be >= 1, got 0",
+                 id="transe-neg-0"),
+    pytest.param(("train", "--transe", "on", "--set", "transe_epochs=-3"),
+                 "transe_epochs must be >= 0, got -3", id="transe-epochs-negative"),
+    pytest.param(("train", "--set", "patience=-2"), "patience must be >= 0, got -2", id="patience-negative"),
+    pytest.param(("train", "--set", "min_freq=-4"), "min_freq must be >= 1, got -4", id="min-freq-negative"),
+    pytest.param(("train", "--set", "min_freq=0"), "min_freq must be >= 1, got 0", id="min-freq-0"),
 ])
 def test_out_of_range_config_integer_is_exit_2(tmp_path, data_dir, capsys, argv, problem):
     assert run(*argv, "--data-dir", data_dir, "--out-dir", tmp_path / "out") == 2
@@ -354,32 +361,80 @@ def test_best_epoch_line_names_the_checkpoint_epoch(tmp_path, data_dir, capsys):
     assert logged == ["1", "2", "3"]
 
 
-def test_lambda_transe_grid_pretrains_once(tmp_path, data_dir, monkeypatch):
-    from dataclasses import replace
+def trained_alone_row(name, cfg, dataset, split):
+    """The ablation table row of one cell and seed: trained, rebuilt from its best checkpoint, scored."""
+    from kbqgen import metrics
 
-    from kbqgen import kbembed, metrics
-    from kbqgen import trainer as tr
+    model = tr.model_from_checkpoint(cfg, dataset, tr.train(cfg, dataset).best)
+    tokens = [t for t, _ in tr.decode_split(model, dataset, split, max_len=cfg.max_len)]
+    examples = dataset.examples(split)
+    bleu = metrics.bleu4(tokens, [list(ex.raw_question_words) for ex in examples])
+    coverage = metrics.answer_coverage(tokens, [set(ex.answer_type_words) for ex in examples])
+    return f"{name}\t{cfg.seed}\t{bleu:.4f}\t{coverage:.4f}"
+
+
+def count_transe_pretraining(monkeypatch):
+    from kbqgen import kbembed
 
     calls = []
     pretrain = kbembed.pretrain_transe
     monkeypatch.setattr(kbembed, "pretrain_transe", lambda *a, **kw: calls.append(1) or pretrain(*a, **kw))
+    return calls
+
+
+def test_lambda_transe_grid_pretrains_once(tmp_path, data_dir, monkeypatch):
+    from dataclasses import replace
+
+    calls = count_transe_pretraining(monkeypatch)
     overrides = ["epochs=1", "transe_epochs=2", "d=8", "heads=2", "layers=1"]
-    argv = ["ablate", "--grid", "lambda-transe", "--data-dir", data_dir, "--out-dir", tmp_path]
+    argv = ["ablate", "--grid", "lambda-transe", "--seeds", "0", "--data-dir", data_dir, "--out-dir", tmp_path]
     assert run(*argv, *[arg for o in overrides for arg in ("--set", o)]) == 0
-    rows = (tmp_path / "ablate_lambda_transe.tsv").read_text().splitlines()[1:]
-    assert len(rows) == 10 and len(calls) == 1
+    lines = (tmp_path / "ablate_lambda_transe.tsv").read_text().splitlines()
+    assert lines[0] == "cell\tseed\tbleu4\tanswer_coverage"
+    assert len(lines) == 11 and len(calls) == 1
     # the shared table gives each TransE cell what it gets pretraining alone
     cfg = tr.parse_config(overrides=overrides)
     dataset = cp.load_dataset(data_dir)
-    examples = dataset.examples("test")
-    for row, lam in zip(rows, tr.LAMBDA_GRID):
-        run_cfg = replace(cfg, lam=lam, transe=True)
-        model = tr.model_from_checkpoint(run_cfg, dataset, tr.train(run_cfg, dataset).best)
-        tokens = [t for t, _ in tr.decode_split(model, dataset, "test", max_len=cfg.max_len)]
-        bleu = metrics.bleu4(tokens, [list(ex.raw_question_words) for ex in examples])
-        coverage = metrics.answer_coverage(tokens, [set(ex.answer_type_words) for ex in examples])
-        assert row == f"true\t{lam}\t{bleu:.4f}\t{coverage:.4f}"
+    cells = [(transe, lam) for transe in (True, False) for lam in (0.0, 0.05, 0.2, 0.5, 1.0)]
+    for line, (transe, lam) in zip(lines[1:], cells):
+        name = f"{'transe' if transe else 'no_transe'}_lambda_{lam}"
+        assert line == trained_alone_row(name, replace(cfg, lam=lam, transe=transe), dataset, "test")
     assert len(calls) == 6
+
+
+def test_lambda_transe_grid_pretrains_once_per_seed(tmp_path, data_dir, monkeypatch):
+    import numpy as np
+
+    calls = count_transe_pretraining(monkeypatch)
+    tables = []  # (seed, transe, the KB table each run starts from)
+    train = tr.train
+    monkeypatch.setattr(tr, "train", lambda cfg, ds, kb=None, **kw: tables.append((cfg.seed, cfg.transe, kb))
+                        or train(cfg, ds, kb, **kw))
+    overrides = ["epochs=1", "transe_epochs=2", "d=8", "heads=2", "layers=1"]
+    assert run("ablate", "--grid", "lambda-transe", "--seeds", "0,1", "--data-dir", data_dir,
+               "--out-dir", tmp_path, *[arg for o in overrides for arg in ("--set", o)]) == 0
+    lines = (tmp_path / "ablate_lambda_transe.tsv").read_text().splitlines()[1:]
+    assert len(lines) == 20 and len(calls) == 2
+    assert [line.split("\t")[1] for line in lines] == ["0", "1"] * 10
+    assert lines[0].startswith("transe_lambda_0.0\t0\t") and lines[-1].startswith("no_transe_lambda_1.0\t1\t")
+    # each seed's TransE cells share one table, the one that seed pretrains alone
+    assert all(kb is None for _, transe, kb in tables if not transe)
+    dataset = cp.load_dataset(data_dir)
+    for seed in (0, 1):
+        shared = {id(kb): kb for s, transe, kb in tables if transe and s == seed}
+        assert len(shared) == 1
+        alone = tr.pretrain_kb(tr.parse_config(overrides=overrides + [f"seed={seed}"]), dataset)
+        assert np.array_equal(next(iter(shared.values())).table, alone.table)
+
+
+def test_ablate_refuses_a_negative_seed_before_training(tmp_path, data_dir, capsys, monkeypatch):
+    trained_runs = []
+    monkeypatch.setattr(tr, "train", lambda *a, **kw: trained_runs.append(1))
+    for grid in ("lambda-transe", "components"):
+        assert run("ablate", "--grid", grid, "--seeds", "0,-1", "--data-dir", data_dir,
+                   "--out-dir", tmp_path / "abl", "--set", "epochs=1") == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not (tmp_path / "abl").exists() and trained_runs == []
 
 
 def test_train_without_validation_saves_the_last_epoch(tmp_path, no_valid_dir, capsys):
@@ -435,27 +490,28 @@ def test_bad_numeric_argument_is_exit_2(tmp_path, data_dir, trained, capsys,
 
 
 def test_components_grid_loads_each_distinct_dataset_once(tmp_path, data_dir, monkeypatch):
+    from dataclasses import replace
+
     loads = []
     load_dataset = cp.load_dataset
     monkeypatch.setattr(cp, "load_dataset", lambda *a, **kw: loads.append(kw) or load_dataset(*a, **kw))
     overrides = ["epochs=1", "d=8", "heads=2", "layers=1"]
-    assert run("ablate", "--grid", "components", "--seeds", "0", "--data-dir", data_dir,
+    assert run("ablate", "--grid", "components", "--seeds", "0,1", "--data-dir", data_dir,
                "--out-dir", tmp_path, *[arg for o in overrides for arg in ("--set", o)]) == 0
     assert sorted(kw["diversified"] for kw in loads) == [False, True]
-    # the table is the one that a fresh load per variant gives
-    rows = tr.ablate_components(tr.parse_config(overrides=overrides),
-                                lambda diversified: load_dataset(data_dir, diversified=diversified),
-                                seeds=[0])
-    body = [f"{r['variant']}\t{r['bleu4_median']:.4f}\t{r['bleu4_runs'][0]:.4f}" for r in rows]
-    assert (tmp_path / "ablate_components.tsv").read_text().splitlines()[1:] == body
-
-
-def test_seeds_with_lambda_transe_grid_is_exit_2(tmp_path, data_dir, capsys):
-    # the lambda-transe grid runs one seed, so --seeds would be ignored
-    assert run("ablate", "--grid", "lambda-transe", "--seeds", "5,6", "--data-dir", data_dir,
-               "--out-dir", tmp_path / "abl", "--set", "epochs=1") == 2
-    assert capsys.readouterr().err == "error: --seeds applies only to the components grid\n"
-    assert not (tmp_path / "abl").exists()
+    # each row is that variant and seed trained alone on a fresh load
+    cfg = tr.parse_config(overrides=overrides)
+    variants = [
+        ("full", {}), ("no_ctx_copy", {"use_ctx_copy": False}), ("no_kb_copy", {"use_kb_copy": False}),
+        ("no_answer_loss", {"question_only": True}), ("no_diversified_contexts", {"diversified": False}),
+    ]
+    expected = []
+    for name, keys in variants:
+        dataset = load_dataset(data_dir, diversified=keys.get("diversified", True))
+        for seed in (0, 1):
+            expected.append(trained_alone_row(name, replace(cfg, seed=seed, **keys), dataset, "valid"))
+    lines = (tmp_path / "ablate_components.tsv").read_text().splitlines()
+    assert lines == ["cell\tseed\tbleu4\tanswer_coverage", *expected]
 
 
 def _edit_second_row(column, value):

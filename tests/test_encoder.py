@@ -53,7 +53,8 @@ def encode_alone(ids, segment, params, masks=None):
     masks = masks or [None] * (2 * len(params.layers))
     x = ad.tensor(params.word_emb.value.data[ids] + params.seg_emb.value.data[segment])
     for i, layer in enumerate(params.layers):
-        x = ad.attention_block(x, x, layer.attn, params.n_heads, mask=masks[2 * i])
+        x = ad.attention_block(x, x, layer.attn, params.n_heads, layout=ad.layout([len(ids)]),
+                               mask=masks[2 * i])
         x = ad.ffn_block(x, layer.ffn, mask=masks[2 * i + 1])
     return x.data
 

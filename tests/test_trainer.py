@@ -56,6 +56,15 @@ def test_config_validation():
     for bad in (1, 0, -3):
         with pytest.raises(tr.ConfigError, match=f"max_len must be >= 2, got {bad}"):
             tr.TrainConfig(max_len=bad).validate()
+    for key, bad, problem in [
+        ("transe_lr", -0.5, "must be positive"), ("transe_lr", 0.0, "must be positive"),
+        ("transe_margin", 0.0, "must be positive"), ("transe_margin", -1.0, "must be positive"),
+        ("grad_clip", -1.0, "must be >= 0"),
+    ]:
+        with pytest.raises(tr.ConfigError, match=f"^{key} {problem}, got {bad}$"):
+            tr.TrainConfig(**{key: bad}).validate()
+    # the edges stay allowed: no clipping, no patience, no TransE epochs
+    tr.TrainConfig(grad_clip=0.0, patience=0, transe_epochs=0, transe_neg=1, min_freq=1).validate()
 
 
 def test_config_paper_profile():

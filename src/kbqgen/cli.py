@@ -76,7 +76,10 @@ def cmd_generate(args):
     if args.beam < 1:
         raise tr.ConfigError(f"--beam must be at least 1, got {args.beam}")
     ckpt = tr.load_checkpoint(args.checkpoint)
-    cfg = tr.parse_config(text=ckpt.config_text)
+    try:
+        cfg = tr.parse_config(text=ckpt.config_text)
+    except tr.ConfigError as exc:  # its line numbers count config lines, not lines of the file
+        raise tr.ConfigError(f"{args.checkpoint}: config {exc}") from None
     dataset = cp.load_dataset(args.data_dir, diversified=cfg.diversified, min_freq=cfg.min_freq)
     model = tr.model_from_checkpoint(cfg, dataset, ckpt)
     decoded = tr.decode_split(model, dataset, args.split, beam=args.beam, max_len=cfg.max_len)

@@ -6,7 +6,10 @@ File formats (all tab-separated UTF-8, tokenized on load):
                     (pattern column may be empty)
     facts.*.tsv     subject id, predicate id, object id, question text
 
-Everything loaded here is immutable afterwards and safe to share read-only.
+load_dataset is the one path from these files to Examples: load_kb and
+load_facts check the rows, and it builds each atom's context_words and each
+fact's ContextSet once. Everything loaded here is immutable afterwards and
+safe to share read-only.
 """
 
 from __future__ import annotations
@@ -247,28 +250,6 @@ def context_words(rec, diversified=True):
     return (words or (SPECIAL_TOKENS[UNK],))[:CONTEXT_CAP]
 
 
-def build_context_set(fact, entities, predicates, kbvocab, vocab=None, diversified=True, memo=None):
-    """The context_words of a fact's subject, predicate and object, with their word ids.
-
-    ``memo``, a dict kept for one vocab and mode, maps each KB id to its
-    context words and ids, so that each is built once.
-    """
-    memo = {} if memo is None else memo
-    atoms = []
-    for idx, records in ((fact.subject, entities), (fact.predicate, predicates), (fact.object, entities)):
-        try:
-            kb_id = kbvocab.token(idx)
-            rec = records[kb_id]
-        except (KeyError, IndexError) as exc:
-            raise IngestionError(f"unresolvable id in fact {fact}: {exc}") from None
-        if kb_id not in memo:
-            words = context_words(rec, diversified)
-            memo[kb_id] = words, (() if vocab is None else vocab.ids(words))
-        atoms.append(memo[kb_id])
-    (subj, subj_ids), (pred, pred_ids), (obj, obj_ids) = atoms
-    return ContextSet(subj, pred, obj, subj_ids, pred_ids, obj_ids)
-
-
 def substitute_subject(question_tokens, name_tokens):
     """Replace the first exact occurrence of the subject name with <subj>.
 
@@ -289,40 +270,6 @@ def substitute_subject(question_tokens, name_tokens):
         except ValueError:
             pass
     return tokens, None
-
-
-def prepare_example(raw_question, fact, entities, predicates, kbvocab, vocab, diversified=True,
-                    substituted=None, memo=None):
-    """Build a training/eval Example from one raw question and its fact.
-
-    ``substituted`` is what substitute_subject returned for the question, when
-    the caller has it. ``memo`` is build_context_set's; it also keeps each
-    fact's ContextSet and each object context's answer words, which examples
-    then share.
-    """
-    raw_tokens = tuple(tokenize(raw_question)) if isinstance(raw_question, str) else tuple(raw_question)
-    if not raw_tokens:
-        raise IngestionError("empty question")
-    if substituted is None:
-        substituted = substitute_subject(raw_tokens, entities[kbvocab.token(fact.subject)].name)
-    subst, span = substituted
-    memo = {} if memo is None else memo
-    contexts = memo.get(fact)
-    if contexts is None:
-        contexts = memo[fact] = build_context_set(
-            fact, entities, predicates, kbvocab, vocab, diversified, memo)
-    answer_words = memo.get(contexts.object_words)
-    if answer_words is None:
-        answer_words = memo[contexts.object_words] = tuple(sorted(set(contexts.object_words)))
-    return Example(
-        fact=fact,
-        contexts=contexts,
-        question=(BOS, *vocab.ids(subst), EOS),
-        question_words=subst,
-        raw_question_words=raw_tokens,
-        answer_type_words=answer_words,
-        subject_span=span,
-    )
 
 
 @dataclass
@@ -367,9 +314,12 @@ def load_facts(path, kbvocab):
 def load_dataset(data_dir, diversified=True, min_freq=2):
     """Load a corpus directory into Examples with a train-derived vocabulary.
 
-    Each question is tokenized and subject-substituted once: the train split's
-    substituted tokens count the vocabulary and then make its examples. One
-    memo builds each KB atom's context and each fact's ContextSet once.
+    This is the one path from corpus rows to Examples. Each question is
+    tokenized and subject-substituted once: the train split's substituted
+    tokens count the vocabulary and then make its examples. Each KB atom's
+    context words, their word ids and their sorted set (an object's answer
+    words) are built once, and each fact's ContextSet once, so examples share
+    them.
     """
     data_dir = Path(data_dir)
     entities, predicates, kbvocab = load_kb(
@@ -391,13 +341,24 @@ def load_dataset(data_dir, diversified=True, min_freq=2):
             questions[split].append((raw, substitute_subject(raw, names[fact.subject])))
     vocab = Vocab.from_questions((subst for _, (subst, _) in questions["train"]), min_freq=min_freq)
 
+    records = {**entities, **predicates}
+    atoms = []  # per KB id: context words, their word ids, their sorted set
+    for i in range(len(kbvocab)):
+        words = context_words(records[kbvocab.token(i)], diversified)
+        atoms.append((words, vocab.ids(words), tuple(sorted(set(words)))))
+
     dataset = Dataset(entities, predicates, kbvocab, vocab)
-    memo = {}
+    contexts = {}  # Fact -> its ContextSet, shared by the fact's rows in every split
     for split, split_rows in rows.items():
-        dataset.splits[split] = [
-            prepare_example(raw, fact, entities, predicates, kbvocab, vocab, diversified, substituted, memo)
-            for (fact, _), (raw, substituted) in zip(split_rows, questions[split])
-        ]
+        examples = dataset.splits[split] = []
+        for (fact, _), (raw, (subst, span)) in zip(split_rows, questions[split]):
+            ctx = contexts.get(fact)
+            if ctx is None:
+                (s, s_ids, _), (p, p_ids, _), (o, o_ids, _) = (
+                    atoms[fact.subject], atoms[fact.predicate], atoms[fact.object])
+                ctx = contexts[fact] = ContextSet(s, p, o, s_ids, p_ids, o_ids)
+            examples.append(Example(fact, ctx, (BOS, *vocab.ids(subst), EOS), subst, raw,
+                                    atoms[fact.object][2], span))
     return dataset
 
 

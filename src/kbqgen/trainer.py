@@ -65,12 +65,14 @@ class TrainConfig:
     use_kb_copy: bool = True
     use_ctx_copy: bool = True
     diversified: bool = True
-    question_only: bool = False
     word_vectors: str = ""
     dtype: str = "float64"
     profile: str = "desk"
 
     def validate(self):
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         for key in _POSITIVE:
             if getattr(self, key) <= 0:
                 raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
@@ -334,15 +336,12 @@ def batch_loss(model, examples, config, drops=None):
     """Per-example total losses [B, 1] from one recorded graph, plus a breakdown per example."""
     result = model.forward_example(list(examples), drops)
     ques = obj.question_loss(result.distributions, result.gold_ext_ids, steps=result.steps)
-    q = ques.data[:, 0].tolist()
-    if config.question_only:
-        return ques, [obj.LossBreakdown(ques_loss=v, ans_loss=0.0, total_loss=v, argmin_pair=None)
-                      for v in q]
     ans, pairs = obj.answer_losses(result.distributions, result.answer_ext_ids, result.steps)
     total = obj.total_loss(ques, ans, config.lam)
     return total, [
         obj.LossBreakdown(ques_loss=qv, ans_loss=av, total_loss=tv, argmin_pair=pair)
-        for qv, av, tv, pair in zip(q, ans.data[:, 0].tolist(), total.data[:, 0].tolist(), pairs)
+        for qv, av, tv, pair in zip(ques.data[:, 0].tolist(), ans.data[:, 0].tolist(),
+                                    total.data[:, 0].tolist(), pairs)
     ]
 
 
@@ -485,7 +484,7 @@ GRIDS = {
         ("full", {"diversified": True}),
         ("no_ctx_copy", {"use_ctx_copy": False, "diversified": True}),
         ("no_kb_copy", {"use_kb_copy": False, "diversified": True}),
-        ("no_answer_loss", {"question_only": True, "diversified": True}),
+        ("no_answer_loss", {"lam": 0.0, "diversified": True}),
         ("no_diversified_contexts", {"diversified": False}),
     )),
 }

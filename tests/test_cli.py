@@ -129,6 +129,15 @@ def test_generate_reads_no_word_vector_file(tmp_path, data_dir):
     pytest.param(("train", "--set", "patience=-2"), "patience must be >= 0, got -2", id="patience-negative"),
     pytest.param(("train", "--set", "min_freq=-4"), "min_freq must be >= 1, got -4", id="min-freq-negative"),
     pytest.param(("train", "--set", "min_freq=0"), "min_freq must be >= 1, got 0", id="min-freq-0"),
+    pytest.param(("train", "--set", "lr0=nan"), "lr0 must be finite, got nan", id="lr0-nan"),
+    pytest.param(("train", "--set", "lr0=inf"), "lr0 must be finite, got inf", id="lr0-inf"),
+    pytest.param(("train", "--set", "transe_lr=nan"), "transe_lr must be finite, got nan",
+                 id="transe-lr-nan"),
+    pytest.param(("train", "--set", "grad_clip=nan"), "grad_clip must be finite, got nan",
+                 id="grad-clip-nan"),
+    pytest.param(("train", "--set", "lam=nan"), "lam must be finite, got nan", id="lam-nan"),
+    pytest.param(("train", "--set", "transe_margin=inf"), "transe_margin must be finite, got inf",
+                 id="transe-margin-inf"),
 ])
 def test_out_of_range_config_integer_is_exit_2(tmp_path, data_dir, capsys, argv, problem):
     assert run(*argv, "--data-dir", data_dir, "--out-dir", tmp_path / "out") == 2
@@ -312,6 +321,18 @@ def test_generate_on_checkpoint_with_a_stale_confighash_is_exit_2(tmp_path, data
                "--split", "test", "--out", tmp_path / "gen.tsv") == 0
 
 
+def test_generate_on_checkpoint_with_an_unknown_config_key_is_exit_2(tmp_path, data_dir, trained, capsys):
+    # checkpoints written while question_only was a config key carry a question_only= line
+    old = tmp_path / "old.ckpt"
+    resign_config(trained / "model" / "model.ckpt", old, "patience=0", "question_only=false")
+    lineno = textckpt.read(old)[0]["config"].index("question_only=false") + 1
+    code = run("generate", "--checkpoint", old, "--data-dir", data_dir,
+               "--split", "test", "--out", tmp_path / "gen.tsv")
+    assert code == 2 and not (tmp_path / "gen.tsv").exists()
+    err = capsys.readouterr().err
+    assert err == f"error: {old}: config line {lineno}: unknown config key 'question_only'\n"
+
+
 def test_over_long_question_is_exit_2_before_any_epoch(tmp_path, data_dir, capsys):
     code = run("train", "--data-dir", data_dir, "--out-dir", tmp_path / "run",
                "--set", "epochs=1", "--set", "max_len=3")
@@ -373,6 +394,30 @@ def trained_alone_row(name, cfg, dataset, split):
     return f"{name}\t{cfg.seed}\t{bleu:.4f}\t{coverage:.4f}"
 
 
+RUN_KEYS = ("seed", "lam", "transe", "use_kb_copy", "use_ctx_copy", "diversified")
+
+
+def grid_runs(grid, cfg, seeds):
+    """The RUN_KEYS of each run of trainer.GRIDS[grid] over seeds, in table order."""
+    from dataclasses import replace
+
+    runs = [replace(cfg, seed=seed, **keys) for _, keys in tr.GRIDS[grid][1] for seed in seeds]
+    return [tuple(getattr(run, key) for key in RUN_KEYS) for run in runs]
+
+
+def spy_train(monkeypatch):
+    """(RUN_KEYS of the config, dataset, KB table) of each trainer.train call, in call order."""
+    calls = []
+    train = tr.train
+
+    def spy(cfg, ds, kb=None, **kw):
+        calls.append((tuple(getattr(cfg, key) for key in RUN_KEYS), ds, kb))
+        return train(cfg, ds, kb, **kw)
+
+    monkeypatch.setattr(tr, "train", spy)
+    return calls
+
+
 def count_transe_pretraining(monkeypatch):
     from kbqgen import kbembed
 
@@ -406,10 +451,7 @@ def test_lambda_transe_grid_pretrains_once_per_seed(tmp_path, data_dir, monkeypa
     import numpy as np
 
     calls = count_transe_pretraining(monkeypatch)
-    tables = []  # (seed, transe, the KB table each run starts from)
-    train = tr.train
-    monkeypatch.setattr(tr, "train", lambda cfg, ds, kb=None, **kw: tables.append((cfg.seed, cfg.transe, kb))
-                        or train(cfg, ds, kb, **kw))
+    runs = spy_train(monkeypatch)
     overrides = ["epochs=1", "transe_epochs=2", "d=8", "heads=2", "layers=1"]
     assert run("ablate", "--grid", "lambda-transe", "--seeds", "0,1", "--data-dir", data_dir,
                "--out-dir", tmp_path, *[arg for o in overrides for arg in ("--set", o)]) == 0
@@ -417,11 +459,14 @@ def test_lambda_transe_grid_pretrains_once_per_seed(tmp_path, data_dir, monkeypa
     assert len(lines) == 20 and len(calls) == 2
     assert [line.split("\t")[1] for line in lines] == ["0", "1"] * 10
     assert lines[0].startswith("transe_lambda_0.0\t0\t") and lines[-1].startswith("no_transe_lambda_1.0\t1\t")
+    # each run trains its own cell's config, cell by cell and seed by seed
+    cfg = tr.parse_config(overrides=overrides)
+    assert [keys for keys, _, _ in runs] == grid_runs("lambda-transe", cfg, (0, 1))
     # each seed's TransE cells share one table, the one that seed pretrains alone
-    assert all(kb is None for _, transe, kb in tables if not transe)
+    assert all(kb is None for (_, _, transe, *_), _, kb in runs if not transe)
     dataset = cp.load_dataset(data_dir)
     for seed in (0, 1):
-        shared = {id(kb): kb for s, transe, kb in tables if transe and s == seed}
+        shared = {id(kb): kb for (s, _, transe, *_), _, kb in runs if transe and s == seed}
         assert len(shared) == 1
         alone = tr.pretrain_kb(tr.parse_config(overrides=overrides + [f"seed={seed}"]), dataset)
         assert np.array_equal(next(iter(shared.values())).table, alone.table)
@@ -495,15 +540,19 @@ def test_components_grid_loads_each_distinct_dataset_once(tmp_path, data_dir, mo
     loads = []
     load_dataset = cp.load_dataset
     monkeypatch.setattr(cp, "load_dataset", lambda *a, **kw: loads.append(kw) or load_dataset(*a, **kw))
+    runs = spy_train(monkeypatch)
     overrides = ["epochs=1", "d=8", "heads=2", "layers=1"]
     assert run("ablate", "--grid", "components", "--seeds", "0,1", "--data-dir", data_dir,
                "--out-dir", tmp_path, *[arg for o in overrides for arg in ("--set", o)]) == 0
     assert sorted(kw["diversified"] for kw in loads) == [False, True]
-    # each row is that variant and seed trained alone on a fresh load
+    # each run trains its own cell's config on the dataset of its diversified value
     cfg = tr.parse_config(overrides=overrides)
+    assert [keys for keys, _, _ in runs] == grid_runs("components", cfg, (0, 1))
+    assert len({id(ds) for _, ds, _ in runs}) == len({(keys[-1], id(ds)) for keys, ds, _ in runs}) == 2
+    # each row is that variant and seed trained alone on a fresh load
     variants = [
         ("full", {}), ("no_ctx_copy", {"use_ctx_copy": False}), ("no_kb_copy", {"use_kb_copy": False}),
-        ("no_answer_loss", {"question_only": True}), ("no_diversified_contexts", {"diversified": False}),
+        ("no_answer_loss", {"lam": 0.0}), ("no_diversified_contexts", {"diversified": False}),
     ]
     expected = []
     for name, keys in variants:

@@ -61,10 +61,17 @@ def test_load_kb_missing_column_rejected(tmp_path):
         cp.load_kb(tmp_path / "entities.tsv", tmp_path / "predicates.tsv")
 
 
+def _load_tiny(tmp_path, *questions, fact="e0\tp0\te2"):
+    """load_dataset over the tiny KB, one train row of fact per question, every token kept."""
+    _tiny_kb(tmp_path)
+    rows = "".join(f"{fact}\t{q}\n" for q in questions)
+    (tmp_path / "facts.train.tsv").write_text(rows, encoding="utf-8")
+    return cp.load_dataset(tmp_path, min_freq=1)
+
+
 def test_context_set_includes_range_and_topic(tmp_path):
-    entities, predicates, kbvocab = _tiny_kb(tmp_path)
-    fact = cp.Fact(kbvocab.id("e0"), kbvocab.id("p0"), kbvocab.id("e2"))
-    ctx = cp.build_context_set(fact, entities, predicates, kbvocab)
+    (ex,) = _load_tiny(tmp_path, "where is it ?").examples("train")
+    ctx = ex.contexts
     # predicate p0 has no DS patterns, so domain/range/topic still cover it
     assert set(ctx.predicate_words) >= {"location", "containedby"}
     assert ctx.segment_ids == (cp.SEG_SUBJECT,) * len(ctx.subject_words) + (
@@ -73,44 +80,41 @@ def test_context_set_includes_range_and_topic(tmp_path):
 
 
 def test_context_set_merges_entity_types(tmp_path):
-    entities, predicates, kbvocab = _tiny_kb(tmp_path)
-    fact = cp.Fact(kbvocab.id("e1"), kbvocab.id("p0"), kbvocab.id("e2"))
-    ctx = cp.build_context_set(fact, entities, predicates, kbvocab)
+    (ex,) = _load_tiny(tmp_path, "where is it ?", fact="e1\tp0\te2").examples("train")
     # broad "administrative region" combined with the refined "us state"
-    assert set(ctx.subject_words) == {"administrative", "region", "us", "state"}
+    assert set(ex.contexts.subject_words) == {"administrative", "region", "us", "state"}
 
 
 def test_context_set_dedups_identical_types(tmp_path):
     (tmp_path / "entities.tsv").write_text("e0\ta name\tcity\tcity\n", encoding="utf-8")
     (tmp_path / "predicates.tsv").write_text("p0\td\tr\tt\t\n", encoding="utf-8")
-    entities, predicates, kbvocab = cp.load_kb(
-        tmp_path / "entities.tsv", tmp_path / "predicates.tsv"
-    )
-    fact = cp.Fact(0, kbvocab.id("p0"), 0)
-    ctx = cp.build_context_set(fact, entities, predicates, kbvocab)
-    assert ctx.subject_words == ("city",)
+    (tmp_path / "facts.train.tsv").write_text("e0\tp0\te0\twhere is it ?\n", encoding="utf-8")
+    (ex,) = cp.load_dataset(tmp_path).examples("train")
+    assert ex.contexts.subject_words == ex.contexts.object_words == ("city",)
 
 
-def test_prepare_example_substitutes_subject(tmp_path):
-    entities, predicates, kbvocab = _tiny_kb(tmp_path)
-    vocab = cp.Vocab(["which", "city", "is", "located", "in", "?"])
-    fact = cp.Fact(kbvocab.id("e0"), kbvocab.id("p0"), kbvocab.id("e2"))
-    ex = cp.prepare_example(
-        "which city is statue of liberty located in?", fact, entities, predicates, kbvocab, vocab
-    )
+def test_load_dataset_substitutes_subject(tmp_path):
+    dataset = _load_tiny(tmp_path, "which city is statue of liberty located in?")
+    (ex,) = dataset.examples("train")
     assert ex.question_words == ("which", "city", "is", "<subj>", "located", "in", "?")
+    assert ex.raw_question_words == ("which", "city", "is", "statue", "of", "liberty", "located", "in", "?")
     assert ex.subject_span == (3, 3)
-    assert ex.question[0] == cp.BOS and ex.question[-1] == cp.EOS
-    assert set(ex.answer_type_words) == set(ex.contexts.object_words)
+    assert ex.question == (cp.BOS, *dataset.vocab.ids(ex.question_words), cp.EOS)
+    assert cp.UNK not in ex.question
+    assert ex.contexts.object_words == ("place", "city")
+    assert ex.answer_type_words == ("city", "place")
 
 
-def test_prepare_example_subject_absent(tmp_path):
-    entities, predicates, kbvocab = _tiny_kb(tmp_path)
-    vocab = cp.Vocab([])
-    fact = cp.Fact(kbvocab.id("e0"), kbvocab.id("p0"), kbvocab.id("e2"))
-    ex = cp.prepare_example("where is it ?", fact, entities, predicates, kbvocab, vocab)
-    assert ex.question_words == ("where", "is", "it", "?")
+def test_load_dataset_subject_absent(tmp_path):
+    (ex,) = _load_tiny(tmp_path, "where is it ?").examples("train")
+    assert ex.question_words == ex.raw_question_words == ("where", "is", "it", "?")
     assert ex.subject_span is None
+
+
+def test_load_dataset_refuses_a_whitespace_question(tmp_path):
+    with pytest.raises(cp.IngestionError) as exc:
+        _load_tiny(tmp_path, "where is it ?", " \u3000 ")
+    assert str(exc.value) == f"{tmp_path / 'facts.train.tsv'}:2: empty question"
 
 
 def test_substitute_subject_first_occurrence_only():
@@ -141,12 +145,6 @@ _WORDS = st.sampled_from(["a", "b", "c"])
 def test_substitute_subject_equals_a_scan_of_every_start(tokens, name):
     assert cp.substitute_subject(tokens, name) == naive_substitute(tokens, name)
     assert cp.substitute_subject(tuple(tokens), tuple(name)) == naive_substitute(tokens, name)
-
-
-def test_prepare_example_empty_question_rejected(tmp_path):
-    entities, predicates, kbvocab = _tiny_kb(tmp_path)
-    with pytest.raises(cp.IngestionError):
-        cp.prepare_example("", cp.Fact(0, 3, 2), entities, predicates, kbvocab, cp.Vocab([]))
 
 
 def test_vocab_reserves_specials_and_roundtrips():

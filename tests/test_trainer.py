@@ -9,6 +9,7 @@ from kbqgen import corpus as cp
 from kbqgen import decoder as dec
 from kbqgen import kbembed
 from kbqgen import model as mdl
+from kbqgen import objective as obj
 from kbqgen import trainer as tr
 
 
@@ -317,14 +318,34 @@ def test_over_long_train_question_is_refused_before_the_first_batch(dataset, mon
     assert tr.train(desk_config(epochs=1, max_len=longest), dataset).history
 
 
-def test_lambda_zero_bit_identical_to_question_only(dataset):
-    cfg_zero = desk_config(epochs=5, lam=0.0)
-    cfg_qonly = desk_config(epochs=5, question_only=True)
-    r_zero = tr.train(cfg_zero, dataset)
-    r_qonly = tr.train(cfg_qonly, dataset)
-    for name in r_zero.last.tensors:
-        assert np.array_equal(r_zero.last.tensors[name], r_qonly.last.tensors[name]), name
-    assert [h[:2] for h in r_zero.history] == [h[:2] for h in r_qonly.history]
+def test_lambda_zero_bit_identical_to_question_loss_alone(dataset):
+    # one batch with dropout: at lambda=0 the total loss and every gradient are the question loss's
+    cfg = desk_config(lam=0.0, dropout=0.1)
+    model = tr.build_model(cfg, dataset)
+    batch = dataset.examples("train")[:cfg.batch_size]
+
+    def swept(loss):
+        total = loss([tr._dropout(cfg, 0, idx) for idx in range(len(batch))])
+        ad.backward(ad.sum_all(total))
+        grads = {p.name: p.grad.copy() for p in model.parameters()}
+        for p in model.parameters():
+            p.zero_grad()
+        return total.data, grads
+
+    def question_loss(drops):
+        result = model.forward_example(list(batch), drops)
+        return obj.question_loss(result.distributions, result.gold_ext_ids, steps=result.steps)
+
+    total, grads = swept(lambda drops: tr.batch_loss(model, batch, cfg, drops)[0])
+    ques, ques_grads = swept(question_loss)
+    assert np.array_equal(total, ques)
+    for name, grad in grads.items():
+        assert np.array_equal(grad, ques_grads[name]), name
+    assert any(grad.any() for grad in grads.values())
+    # the breakdown still reports the answer loss that lambda=0 leaves out
+    _, breakdowns = tr.batch_loss(model, batch, cfg)
+    assert all(b.total_loss == b.ques_loss for b in breakdowns)
+    assert any(b.ans_loss > 0 for b in breakdowns)
 
 
 def test_divergence_aborts_with_last_finite(dataset):

@@ -35,8 +35,8 @@ CHUNK = 32
 
 
 _POSITIVE = ("lr0", "transe_lr", "transe_margin")
-_AT_LEAST = {"seed": 0, "max_len": 2, "transe_epochs": 0, "transe_neg": 1,
-             "grad_clip": 0, "patience": 0, "min_freq": 1}
+_AT_LEAST = {"seed": 0, "max_len": 2, "transe_epochs": 0, "transe_neg": 1, "grad_clip": 0,
+             "patience": 0, "min_freq": 1, "lam": 0, "batch_size": 1, "epochs": 0}
 
 
 @dataclass
@@ -81,10 +81,6 @@ class TrainConfig:
                 raise ConfigError(f"{key} must be >= {low}, got {getattr(self, key)}")
         if not 0 < self.lr_decay <= 1:
             raise ConfigError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
-        if self.lam < 0:
-            raise ConfigError(f"lambda must be >= 0, got {self.lam}")
-        if self.batch_size < 1 or self.epochs < 0:
-            raise ConfigError("batch_size must be >= 1 and epochs >= 0")
         if min(self.d, self.heads, self.layers) < 1:
             raise ConfigError(f"d, heads and layers must be >= 1, got {self.d}, {self.heads}, {self.layers}")
         if self.d % self.heads:
@@ -131,6 +127,7 @@ def parse_config(path=None, text=None, overrides=None):
     """
     if text is None:
         text = "" if path is None else read_utf8(path)
+    label = "line " if path is None else f"{path}:"  # a file's lines are named like its other errors
     known = {f.name: f for f in fields(TrainConfig)}
     seen = {}
 
@@ -162,7 +159,7 @@ def parse_config(path=None, text=None, overrides=None):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        parse_pair(line, f"line {lineno}")
+        parse_pair(line, f"{label}{lineno}")
     for raw in overrides or []:
         parse_pair(raw, "override")
 

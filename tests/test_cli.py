@@ -58,11 +58,14 @@ def test_unknown_flag_is_usage_error():
     assert e.value.code == 2
 
 
-def test_bad_config_is_exit_2(tmp_path, data_dir):
+def test_bad_config_is_exit_2(tmp_path, data_dir, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("mystery_key=1\n", encoding="utf-8")
     assert run("train", "--config", cfg, "--data-dir", data_dir,
                "--out-dir", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {cfg}:1: unknown config key 'mystery_key'\n"
+    assert "bad.cfg:1" in err and not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("row", ["what 0.1 x 0.3", "what 0.1 0.2"])
@@ -138,6 +141,10 @@ def test_generate_reads_no_word_vector_file(tmp_path, data_dir):
     pytest.param(("train", "--set", "lam=nan"), "lam must be finite, got nan", id="lam-nan"),
     pytest.param(("train", "--set", "transe_margin=inf"), "transe_margin must be finite, got inf",
                  id="transe-margin-inf"),
+    pytest.param(("train", "--set", "lam=-1"), "lam must be >= 0, got -1.0", id="lam-negative"),
+    pytest.param(("train", "--lambda", "-1"), "lam must be >= 0, got -1.0", id="lambda-flag-negative"),
+    pytest.param(("train", "--set", "batch_size=0"), "batch_size must be >= 1, got 0", id="batch-size-0"),
+    pytest.param(("train", "--set", "epochs=-1"), "epochs must be >= 0, got -1", id="epochs-negative"),
 ])
 def test_out_of_range_config_integer_is_exit_2(tmp_path, data_dir, capsys, argv, problem):
     assert run(*argv, "--data-dir", data_dir, "--out-dir", tmp_path / "out") == 2

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from kbqgen import autodiff as ad
+from kbqgen import corpus
 from kbqgen import kbembed as kb
 from kbqgen.corpus import BOS, EOS, ContextSet, Example, Fact, KBVocab, Vocab
 from kbqgen.model import Model
@@ -91,6 +92,96 @@ def test_filtered_mean_rank_beats_random_baseline():
                 rank += 1
         ranks.append(rank)
     assert float(np.mean(ranks)) < vocab.n_entities / 2
+
+
+def reference_transe(triples, kbvocab, d, margin=1.0, lr=0.01, epochs=50, neg_per_pos=1, seed=0):
+    """The row-at-a-time TransE loop with np.linalg.norm, kept as the bit-for-bit reference."""
+    triples = list(triples)
+    n_entities = kbvocab.n_entities
+    table = kb.init_random(len(kbvocab), d, seed).table
+    rng = np.random.default_rng(seed * 2_654_435_761 % 2**63 + 1)
+
+    def corrupt(s, o):
+        s_neg, o_neg = s, o
+        if rng.random() < 0.5:
+            s_neg = int(rng.integers(n_entities))
+            while s_neg == s:
+                s_neg = int(rng.integers(n_entities))
+        else:
+            o_neg = int(rng.integers(n_entities))
+            while o_neg == o:
+                o_neg = int(rng.integers(n_entities))
+        return s_neg, o_neg
+
+    probes = [corrupt(s, o) for s, p, o in triples]
+
+    def probe_loss():
+        total = 0.0
+        for (s, p, o), (s_neg, o_neg) in zip(triples, probes):
+            d_pos = np.linalg.norm(table[s] + table[p] - table[o])
+            d_neg = np.linalg.norm(table[s_neg] + table[p] - table[o_neg])
+            total += max(0.0, margin + d_pos - d_neg)
+        return total / len(triples)
+
+    losses = []
+    for _ in range(epochs):
+        order = rng.permutation(len(triples))
+        for idx in order:
+            s, p, o = triples[idx]
+            for _neg in range(neg_per_pos):
+                s_neg, o_neg = corrupt(s, o)
+                diff_pos = table[s] + table[p] - table[o]
+                diff_neg = table[s_neg] + table[p] - table[o_neg]
+                d_pos = np.linalg.norm(diff_pos)
+                d_neg = np.linalg.norm(diff_neg)
+                if margin + d_pos - d_neg > 0:
+                    u = diff_pos / max(d_pos, 1e-12)
+                    v = diff_neg / max(d_neg, 1e-12)
+                    table[s] -= lr * u
+                    table[o] += lr * u
+                    table[s_neg] += lr * v
+                    table[o_neg] -= lr * v
+                    table[p] -= lr * (u - v)
+        norms = np.linalg.norm(table[:n_entities], axis=1, keepdims=True)
+        table[:n_entities] /= np.maximum(norms, 1e-12)
+        losses.append(probe_loss())
+    return table, tuple(losses)
+
+
+def desk_train_kb(tmp_path):
+    """The KB and every split's facts of the desk-train benchmark corpus."""
+    corpus.write_corpus(corpus.synth_corpus(1, 24, 8, 220), tmp_path)
+    dataset = corpus.load_dataset(tmp_path)
+    triples = [(ex.fact.subject, ex.fact.predicate, ex.fact.object)
+               for split in sorted(dataset.splits) for ex in dataset.splits[split]]
+    return dataset.kbvocab, triples
+
+
+def self_loop_kb():
+    vocab, triples = chain_kb(6, 2)
+    return vocab, triples + [(2, 6, 2), (4, 7, 4)]
+
+
+def two_entity_kb():
+    return KBVocab(["e0", "e1"], ["p0", "p1"]), [(0, 2, 1), (1, 2, 0), (0, 3, 0)]
+
+
+@pytest.mark.parametrize("make_kb, kwargs", [
+    pytest.param(chain_kb, dict(d=16, lr=0.02, epochs=12, seed=0), id="chain-seed-0"),
+    pytest.param(chain_kb, dict(d=16, lr=0.02, epochs=12, seed=1), id="chain-seed-1"),
+    pytest.param(chain_kb, dict(d=16, lr=0.02, epochs=12, seed=2), id="chain-seed-2"),
+    pytest.param(chain_kb, dict(d=16, epochs=8, neg_per_pos=3, seed=4), id="neg-per-pos-3"),
+    pytest.param(self_loop_kb, dict(d=8, lr=0.05, epochs=20, seed=5), id="self-loop"),
+    pytest.param(two_entity_kb, dict(d=4, lr=0.05, epochs=30, neg_per_pos=2, seed=6), id="two-entities"),
+    pytest.param(desk_train_kb, dict(d=32, epochs=40, seed=1), id="desk-train"),
+])
+def test_pretrain_transe_is_bit_identical_to_the_reference(tmp_path, make_kb, kwargs):
+    vocab, triples = make_kb(tmp_path) if make_kb is desk_train_kb else make_kb()
+    table, losses = reference_transe(triples, vocab, **kwargs)
+    emb = kb.pretrain_transe(triples, vocab, **kwargs)
+    assert np.array_equal(emb.table, table)
+    assert emb.epoch_losses == losses
+    assert all(type(loss) is float for loss in emb.epoch_losses)
 
 
 def bare_kb_model(table):

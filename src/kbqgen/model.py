@@ -180,12 +180,14 @@ class Model:
     def _dropout_masks(self, examples, drops):
         """One dropout mask per encoder and per decoder sublayer, or (None, None).
 
-        Each example's ``drop(shape)`` is asked for its masks in the shapes
-        and order of that example run alone: its three contexts in turn, each
-        layer by layer with attention before FFN, then per decoder layer
-        self-attention, fact attention and FFN over its question rows. Each
-        batched sublayer's mask is the row-concatenation of its examples'
-        masks, in the model's dtype.
+        Each example's ``drop(shape)`` is asked once, for one [rows, d] block
+        that holds all its masks one after another, in the order of that
+        example run alone: its three contexts in turn, each layer by layer
+        with attention before FFN, then per decoder layer self-attention,
+        fact attention and FFN over its question rows. A seeded ``random()``
+        stream split at any point is the same stream, so the masks equal
+        those drawn one sublayer at a time. Each batched sublayer's mask is
+        the row-concatenation of its examples' masks, in the model's dtype.
         """
         if drops is None:
             return None, None
@@ -193,11 +195,15 @@ class Model:
         enc_masks, dec_masks = [[] for _ in range(n_enc)], [[] for _ in range(n_dec)]
         for ex, drop in zip(examples, drops):
             c = ex.contexts
-            for n in (len(c.subject_ids), len(c.predicate_ids), len(c.object_ids)):
-                for masks in enc_masks:
-                    masks.append(drop((n, self.d)))
-            for masks in dec_masks:
-                masks.append(drop((len(ex.question) - 1, self.d)))
+            # (rows per sublayer, the sublayers' mask lists), in draw order
+            parts = [(n, enc_masks) for n in (len(c.subject_ids), len(c.predicate_ids), len(c.object_ids))]
+            parts.append((len(ex.question) - 1, dec_masks))
+            block = drop((sum(n * len(out) for n, out in parts), self.d))
+            start = 0
+            for n, out in parts:
+                for masks in out:
+                    masks.append(block[start : start + n])
+                    start += n
         dtype = self.kb_emb.value.data.dtype
         return ([np.concatenate(m).astype(dtype, copy=False) for m in enc_masks],
                 [np.concatenate(m).astype(dtype, copy=False) for m in dec_masks])

@@ -216,6 +216,10 @@ class Checkpoint:
 
 @dataclass
 class TrainResult:
+    """A run's checkpoints: copies of the arrays at their epoch, except the last
+    epoch's, which holds the trained arrays themselves. A first-epoch abort
+    returns the rebuilt epoch-0 (or resume) checkpoint as both."""
+
     best: Checkpoint
     last: Checkpoint
     history: list  # (epochs done, train loss, valid bleu4), the epoch numbered from 1
@@ -248,14 +252,33 @@ def load_checkpoint(path):
     return ckpt
 
 
-def _snapshot(model, optimizer, epoch, config):
+def _checkpoint(tensors, moments, epoch, config, copy=False):
+    """A checkpoint of these arrays under config; copies them when training goes on after it."""
+    keep = np.copy if copy else (lambda a: a)
     return Checkpoint(
-        tensors={name: p.value.data.copy() for name, p in model.registry.items()},
-        moments={name: v.copy() for name, v in optimizer.moments.items()},
+        tensors={name: keep(a) for name, a in tensors.items()},
+        moments={name: keep(v) for name, v in moments.items()},
         epoch=epoch,
         config_hash=config.hash(),
         config_text=config.canonical_text(),
     )
+
+
+def _weights(model):
+    return {name: p.value.data for name, p in model.registry.items()}
+
+
+def _start_checkpoint(config, dataset, kb_matrix, resume, model):
+    """The checkpoint a run started from, for an abort in its first epoch: resume's
+    arrays in the model's dtype under config's hash, or a fresh build_model (fixed
+    by the seed and kb_matrix) with zero moments."""
+    if resume is not None:
+        dtype = config.np_dtype()
+        return _checkpoint({n: np.asarray(resume.tensors[n], dtype) for n in model.registry},
+                           {n: np.asarray(resume.moments[n], dtype) for n in model.registry},
+                           resume.epoch, config)
+    tensors = _weights(build_model(config, dataset, kb_matrix))
+    return _checkpoint(tensors, {n: np.zeros_like(a) for n, a in tensors.items()}, 0, config)
 
 
 def load_word_vectors(path, vocab, d):
@@ -349,7 +372,10 @@ def example_loss(model, example, config, drop=None):
 
 
 def _dropout(config, epoch, idx):
-    """Example idx's inverted dropout masks in an epoch, drawn in the order they are asked for."""
+    """Example idx's inverted dropout masks in an epoch, from its own seeded stream.
+
+    Model._dropout_masks asks once per example, for one block of all its masks.
+    """
     rng = np.random.default_rng([config.seed, epoch, idx])
     return lambda shape: (rng.random(shape) >= config.dropout) / (1.0 - config.dropout)
 
@@ -388,6 +414,11 @@ def train(config, dataset, kb_matrix=None, resume=None, log=None):
     then greedy BLEU-4 on the validation split. Without a validation split (absent or empty) the best
     checkpoint is the last one. A loss or gradient norm that is not finite
     aborts with the last finite checkpoint.
+
+    Every epoch's checkpoint but the last (by epochs or patience) is a copy;
+    the last, like a run with no epoch to run, holds the model's and the
+    optimizer's own arrays. None is taken before the first step: an abort
+    in the first epoch rebuilds the one the run started from.
     """
     config.validate()
     train_examples = dataset.examples("train")
@@ -397,6 +428,8 @@ def train(config, dataset, kb_matrix=None, resume=None, log=None):
             fact = " ".join(dataset.kbvocab.token(k) for k in (f.subject, f.predicate, f.object))
             raise ConfigError(f"train example {i} ({fact}): its question has {len(ex.question) - 1} "
                               f"decoder steps, more than max_len={config.max_len}")
+    if resume is None and kb_matrix is None and config.transe:
+        kb_matrix = pretrain_kb(config, dataset)  # kept, should the first epoch abort
     model = (build_model(config, dataset, kb_matrix=kb_matrix) if resume is None
              else model_from_checkpoint(config, dataset, resume))
     optimizer = RMSProp(model.parameters(), skip_names=("kb_emb",) if config.freeze_kb else ())
@@ -408,8 +441,7 @@ def train(config, dataset, kb_matrix=None, resume=None, log=None):
         start_epoch = resume.epoch
     validate = bool(dataset.splits.get("valid"))
     history = []
-    last = _snapshot(model, optimizer, start_epoch, config)
-    best = last
+    best = last = None
     best_bleu = -1.0
     stale = 0
     for epoch in range(start_epoch, config.epochs):
@@ -435,21 +467,25 @@ def train(config, dataset, kb_matrix=None, resume=None, log=None):
                 diverged = True
                 break
         if diverged:
+            if last is None:
+                best = last = _start_checkpoint(config, dataset, kb_matrix, resume, model)
             return TrainResult(best=best, last=last, history=history, validated=validate, aborted=True)
         mean_loss = epoch_loss / max(len(train_examples), 1)
         bleu = valid_bleu(model, dataset, max_len=config.max_len) if validate else 0.0
         history.append((epoch + 1, mean_loss, bleu))
         if log is not None:
             log(*history[-1])
-        last = _snapshot(model, optimizer, epoch + 1, config)
-        if not validate or bleu > best_bleu:
+        improved = not validate or bleu > best_bleu
+        stale = 0 if improved else stale + 1
+        final = epoch + 1 == config.epochs or (config.patience and stale >= config.patience)
+        last = _checkpoint(_weights(model), optimizer.moments, epoch + 1, config, copy=not final)
+        if improved:
             best_bleu = bleu
             best = last
-            stale = 0
-        else:
-            stale += 1
-            if config.patience and stale >= config.patience:
-                break
+        if final:
+            break
+    if last is None:  # no epoch to run
+        best = last = _checkpoint(_weights(model), optimizer.moments, start_epoch, config)
     return TrainResult(best=best, last=last, history=history, validated=validate)
 
 
@@ -495,11 +531,14 @@ def ablate(config, load_dataset_fn, grid, seeds, log=None):
     BLEU-4 and answer coverage. ``load_dataset_fn(diversified)`` supplies
     the data, since that key changes the data itself; each distinct dataset
     is loaded once. TransE is pretrained at most once per seed and shared by
-    the cells that use it: they all keep the same facts. Every seed and the
-    split are checked before the first cell trains.
+    the cells that use it: they all keep the same facts. Every seed (each
+    given once) and the split are checked before the first cell trains.
     """
     split, cells = GRIDS[grid]
     runs = [(name, replace(config, seed=seed, **keys).validate()) for name, keys in cells for seed in seeds]
+    repeated = next((seed for i, seed in enumerate(seeds) if seed in seeds[:i]), None)
+    if repeated is not None:  # a mean over seeds would count it twice
+        raise ConfigError(f"seed {repeated} is given more than once")
     datasets = {}
     for _, run_cfg in runs:
         if run_cfg.diversified not in datasets:

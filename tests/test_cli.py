@@ -489,6 +489,17 @@ def test_ablate_refuses_a_negative_seed_before_training(tmp_path, data_dir, caps
     assert not (tmp_path / "abl").exists() and trained_runs == []
 
 
+@pytest.mark.parametrize("seeds, repeated", [("0,0", 0), ("1,01", 1), ("2,0,3,0", 0)])
+def test_ablate_refuses_a_repeated_seed_before_training(tmp_path, data_dir, capsys, monkeypatch,
+                                                        seeds, repeated):
+    trained_runs = []
+    monkeypatch.setattr(tr, "train", lambda *a, **kw: trained_runs.append(1))
+    assert run("ablate", "--grid", "components", "--seeds", seeds, "--data-dir", data_dir,
+               "--out-dir", tmp_path / "abl", "--set", "epochs=1") == 2
+    assert capsys.readouterr().err == f"error: seed {repeated} is given more than once\n"
+    assert not (tmp_path / "abl").exists() and trained_runs == []
+
+
 def test_train_without_validation_saves_the_last_epoch(tmp_path, no_valid_dir, capsys):
     from kbqgen import trainer as tr
 

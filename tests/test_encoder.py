@@ -5,6 +5,7 @@ import pytest
 
 from kbqgen import autodiff as ad
 from kbqgen import encoder as enc
+from kbqgen import trainer as tr
 from kbqgen.corpus import (BOS, EOS, SEG_OBJECT, SEG_PREDICATE, SEG_SUBJECT, ContextSet, Example,
                            Fact, KBVocab, Vocab)
 from kbqgen.model import Model
@@ -90,21 +91,55 @@ def test_no_cross_context_state():
             start += len(toks)
 
 
-def test_dropout_masks_are_asked_context_by_context():
-    m = tiny_model(layers=2)
-    ctx = _example_contexts(m.vocab)  # contexts of 2, 1 and 2 tokens
-    question = (BOS, m.vocab.id("w5"), m.vocab.id("w7"), EOS)
-    example = Example(Fact(0, 3, 2), ctx, question, ("w5", "w7"), ("w5", "w7"), ("w8",), None)
-    shapes = []
+def reference_dropout_masks(model, examples, drops):
+    """The per-sublayer protocol, as a reference: each example's ``drop`` is
+    asked once per sublayer, context-major in order s, p, o, per context
+    layer by layer with attention then FFN, then per decoder layer
+    self-attention, fact attention and FFN; each sublayer's batched mask is
+    the row-concatenation of its examples' masks."""
+    enc_masks = [[] for _ in range(2 * model.n_layers)]
+    dec_masks = [[] for _ in range(3 * model.n_layers)]
+    for ex, drop in zip(examples, drops):
+        c = ex.contexts
+        for n in (len(c.subject_ids), len(c.predicate_ids), len(c.object_ids)):
+            for masks in enc_masks:
+                masks.append(drop((n, model.d)))
+        for masks in dec_masks:
+            masks.append(drop((len(ex.question) - 1, model.d)))
+    dtype = model.kb_emb.value.data.dtype
+    return ([np.concatenate(m).astype(dtype, copy=False) for m in enc_masks],
+            [np.concatenate(m).astype(dtype, copy=False) for m in dec_masks])
 
-    def drop(shape):
-        shapes.append(shape)
-        return np.ones(shape)
 
-    m.forward_example(example, drop=drop)
-    # context-major in order s, p, o; per context, layer by layer, attention
-    # then FFN; then per decoder layer self-attention, fact attention and FFN
-    assert shapes == [(2, m.d)] * 4 + [(1, m.d)] * 4 + [(2, m.d)] * 4 + [(3, m.d)] * 6
+def _words_example(vocab, subject, predicate, obj, question):
+    ids = lambda words: tuple(vocab.id(w) for w in words)
+    ctx = ContextSet(subject, predicate, obj, ids(subject), ids(predicate), ids(obj))
+    return Example(Fact(0, 3, 2), ctx, (BOS, *ids(question), EOS), question, question, obj, None)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_dropout_masks_equal_the_per_sublayer_draws_from_one_ask_per_example(dtype):
+    m = tiny_model(layers=2, dtype=dtype)
+    examples = [  # contexts and questions of unequal lengths
+        _words_example(m.vocab, ("w5", "w6"), ("w7",), ("w8", "w9"), ("w5", "w7")),
+        _words_example(m.vocab, ("w6",), ("w7", "w8", "w9"), ("w5",), ("w6",)),
+        _words_example(m.vocab, ("w5", "w6", "w7"), ("w8", "w9"), ("w5", "w6", "w7", "w8"),
+                       ("w9", "w8", "w7", "w6", "w5")),
+    ]
+    cfg = tr.TrainConfig(dropout=0.3, seed=11)
+    asked = []
+
+    def counted(idx):
+        drop = tr._dropout(cfg, 0, idx)
+        return lambda shape: asked.append(idx) or drop(shape)
+
+    got = m._dropout_masks(examples, [counted(i) for i in range(len(examples))])
+    assert asked == [0, 1, 2]
+    want = reference_dropout_masks(m, examples, [tr._dropout(cfg, 0, i) for i in range(len(examples))])
+    for got_masks, want_masks in zip(got, want):
+        assert len(got_masks) == len(want_masks)
+        for g, w in zip(got_masks, want_masks):
+            assert g.dtype == dtype and g.shape == w.shape and np.array_equal(g, w)
 
 
 def test_empty_context_rejected():

@@ -158,6 +158,68 @@ def test_inf_gradient_aborts_with_last_finite_checkpoint(dataset, monkeypatch):
         assert all(np.array_equal(saved[n], expected[n]) for n in expected)
 
 
+def inf_gradient_at_step(monkeypatch, n):
+    """Make the n-th RMSProp step from now see an inf gradient."""
+    original, steps = tr.RMSProp.step, []
+
+    def inject(self, lr, clip=0.0):
+        steps.append(lr)
+        if len(steps) == n:
+            self.params[0].value.grad[0, 0] = np.inf
+        return original(self, lr, clip)
+
+    monkeypatch.setattr(tr.RMSProp, "step", inject)
+    return steps
+
+
+@pytest.mark.parametrize("transe", [False, True])
+def test_first_epoch_abort_returns_the_fresh_model(dataset, monkeypatch, transe):
+    cfg = desk_config(epochs=3, batch_size=4, dropout=0.1, transe=transe, transe_epochs=2)
+    steps = inf_gradient_at_step(monkeypatch, 3)
+    result = tr.train(cfg, dataset)  # kb_matrix=None: TransE, when on, is the run's own
+    monkeypatch.undo()
+    assert len(steps) == 3 and len(set(steps)) == 1  # two steps taken, all in the first epoch
+    assert result.aborted and result.history == [] and result.best is result.last
+    assert result.last.epoch == 0 and result.last.config_hash == cfg.hash()
+    assert result.last.config_text == cfg.canonical_text()
+    fresh = tr.build_model(cfg, dataset)
+    assert list(result.last.tensors) == list(fresh.registry) == list(result.last.moments)
+    for name, p in fresh.registry.items():
+        assert np.array_equal(result.last.tensors[name], p.value.data), name
+        assert not result.last.moments[name].any(), name
+
+
+def test_first_epoch_abort_of_a_resume_returns_the_resume_checkpoint(dataset, monkeypatch):
+    half = tr.train(desk_config(epochs=2, batch_size=4, dropout=0.1), dataset).last
+    kept = {kind: {n: a.copy() for n, a in getattr(half, kind).items()} for kind in ("tensors", "moments")}
+    cfg = desk_config(epochs=4, batch_size=4, dropout=0.1)
+    inf_gradient_at_step(monkeypatch, 3)
+    result = tr.train(cfg, dataset, resume=half)
+    assert result.aborted and result.history == [] and result.best is result.last
+    assert result.last.epoch == half.epoch == 2
+    assert result.last.config_hash == cfg.hash() != half.config_hash
+    for kind, arrays in kept.items():
+        saved = getattr(result.last, kind)
+        assert list(saved) == list(arrays)
+        for name, arr in arrays.items():
+            assert np.array_equal(saved[name], arr), (kind, name)
+
+
+@pytest.mark.parametrize("epochs, patience", [(3, 0), (5, 2)])
+def test_an_earlier_best_checkpoint_shares_no_memory_with_the_last(dataset, monkeypatch, epochs, patience):
+    bleus = iter([0.5, 0.2, 0.1])  # the first epoch is best; patience 2 stops after the third
+    monkeypatch.setattr(tr, "valid_bleu", lambda *a, **kw: next(bleus))
+    result = tr.train(desk_config(epochs=epochs, patience=patience, dropout=0.1), dataset)
+    monkeypatch.undo()
+    assert result.validated and (result.best.epoch, result.last.epoch) == (1, 3)
+    one_epoch = tr.train(desk_config(epochs=1, dropout=0.1), dataset).last
+    last = [*result.last.tensors.values(), *result.last.moments.values()]
+    for kind in ("tensors", "moments"):
+        for name, arr in getattr(result.best, kind).items():
+            assert np.array_equal(arr, getattr(one_epoch, kind)[name]), (kind, name)
+            assert not any(np.shares_memory(arr, other) for other in last), (kind, name)
+
+
 def test_without_validation_the_best_checkpoint_is_the_last(dataset):
     view = cp.Dataset(dataset.entities, dataset.predicates, dataset.kbvocab, dataset.vocab,
                       splits={"train": dataset.examples("train")})

@@ -67,11 +67,6 @@ def cmd_train(args):
     return 0
 
 
-def _fact_ids(dataset, example):
-    fact = example.fact
-    return " ".join(dataset.kbvocab.token(i) for i in (fact.subject, fact.predicate, fact.object))
-
-
 def cmd_generate(args):
     if args.beam < 1:
         raise tr.ConfigError(f"--beam must be at least 1, got {args.beam}")
@@ -84,7 +79,7 @@ def cmd_generate(args):
     model = tr.model_from_checkpoint(cfg, dataset, ckpt)
     decoded = tr.decode_split(model, dataset, args.split, beam=args.beam, max_len=cfg.max_len)
     lines = [
-        f"{_fact_ids(dataset, example)}\t{' '.join(realized)}\t{modes}"
+        f"{dataset.kbvocab.fact_ids(example.fact)}\t{' '.join(realized)}\t{modes}"
         for example, (realized, modes) in zip(dataset.examples(args.split), decoded)
     ]
     Path(args.out).write_text("".join(l + "\n" for l in lines), encoding="utf-8")
@@ -107,7 +102,7 @@ def cmd_eval(args):
         parts = line.split("\t")
         if len(parts) < 2:
             raise cp.IngestionError(f"{args.generations}:{i}: expected fact<TAB>question")
-        fact_ids = _fact_ids(dataset, example)
+        fact_ids = dataset.kbvocab.fact_ids(example.fact)
         if parts[0] != fact_ids:
             raise cp.IngestionError(
                 f"{args.generations}:{i}: fact ids {parts[0]!r} do not match split ({fact_ids!r})"

@@ -168,6 +168,10 @@ class KBVocab:
     def token(self, idx):
         return self._tokens[idx]
 
+    def fact_ids(self, fact):
+        """The fact as "<subject> <predicate> <object>" ids, as generation files name it."""
+        return " ".join(self._tokens[i] for i in (fact.subject, fact.predicate, fact.object))
+
     def __len__(self):
         return len(self._tokens)
 

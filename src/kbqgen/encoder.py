@@ -135,14 +135,12 @@ def fuse(h_f, context_rows, lengths, fusion):
     return ad.record(out, (h_f, context_rows, w_f, w_g), bwd)
 
 
-def augment_facts(facts, context_sets, kb_table, enc_params, fusion_params, use_fusion=True,
-                  masks=None):
+def augment_facts(facts, context_sets, kb_table, enc_params, fusion_params, masks=None):
     """Encode every fact's three contexts in one pass, fuse each with its KB
     embedding, and stack three rows per fact.
 
-    With ``use_fusion`` off the fact rows are the bare KB embeddings (the
-    ablated encoder); context rows are still produced for the copier.
-    ``masks`` are encode_contexts' per-sublayer dropout masks.
+    The context rows are also returned, for the copier. ``masks`` are
+    encode_contexts' per-sublayer dropout masks.
     """
     lengths = [len(ids) for c in context_sets
                for ids in (c.subject_ids, c.predicate_ids, c.object_ids)]
@@ -152,7 +150,5 @@ def augment_facts(facts, context_sets, kb_table, enc_params, fusion_params, use_
     segment_ids = [s for c in context_sets for s in c.segment_ids]
     context_rows = encode_contexts(token_ids, segment_ids, lengths, enc_params, masks)
     atoms = [a for f in facts for a in (f.subject, f.predicate, f.object)]
-    h_f = ad.gather(kb_table, atoms)
-    if use_fusion:
-        h_f = fuse(h_f, context_rows, lengths, fusion_params)
+    h_f = fuse(ad.gather(kb_table, atoms), context_rows, lengths, fusion_params)
     return AugmentedFact(h_f=h_f, context_rows=context_rows)

@@ -1,7 +1,9 @@
 """KB embedding table: random init or TransE pretraining.
 
-`trainer.build_model` runs the pretraining inside `train` when the config
-sets `transe`; the table then travels in the model checkpoint.
+When the config sets `transe` and no table is given, `trainer.train` runs
+the pretraining itself before `build_model`, and keeps the table should its
+first epoch abort; `build_model` pretrains only when it is called on its own
+without a table. The table then travels in the model checkpoint.
 
 The table covers entities and predicates in one dense index space (entities
 first). TransE treats a predicate row as a translation vector between its

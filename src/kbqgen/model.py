@@ -4,10 +4,12 @@ Draws encoder, fusion, decoder and KB-embedding parameters from a seed, or
 copies them from given weights (a checkpoint's tensors), wires the shared
 word-embedding table across encoder input, decoder input and output
 logits, and provides the teacher-forced forward pass whose step
-distributions feed the objective directly. The forward pass takes a batch
-of examples and records one graph for all of them; one example is a batch
-of one, through the same ``forward_example``. Dropout is decided here: the
-layers get one mask array per sublayer, stacked from the examples' masks.
+distributions feed the objective directly. The fusion is always on:
+every fact row is its KB embedding fused with its atom's context by the
+gated unit. The forward pass takes a batch of examples and records one
+graph for all of them; one example is a batch of one, through the same
+``forward_example``. Dropout is decided here: the layers get one mask
+array per sublayer, stacked from the examples' masks.
 """
 
 from __future__ import annotations
@@ -63,16 +65,18 @@ class ForwardResult:
 class Model:
     """Encoder, fusion, decoder and KB-embedding parameters, named in one registry.
 
-    Without ``weights`` the matrices are drawn uniform in +-``init_range`` from
-    ``seed`` (``kb_emb`` from ``seed + 1``). With ``weights`` (name -> array,
-    e.g. a checkpoint's tensors) nothing is drawn: each parameter is a copy of
-    ``weights[name]`` in ``dtype``, and any missing, unknown or wrong-shape
-    names are refused together in one ConfigError.
+    The fusion is always on: ``encode_facts`` passes every fact's gathered
+    KB rows through it. Without ``weights`` the matrices are drawn uniform in
+    +-``init_range`` from ``seed`` (``kb_emb`` from ``seed + 1``). With
+    ``weights`` (name -> array, e.g. a checkpoint's tensors) nothing is
+    drawn: each parameter is a copy of ``weights[name]`` in ``dtype``, and
+    any missing, unknown or wrong-shape names are refused together in one
+    ConfigError.
     """
 
     def __init__(self, vocab, kbvocab, d=32, heads=2, layers=2, seed=0, max_len=40,
-                 weights=None, use_fusion=True, use_kb_copy=True, use_ctx_copy=True,
-                 dtype=np.float64, init_range=INIT_RANGE):
+                 weights=None, use_kb_copy=True, use_ctx_copy=True, dtype=np.float64,
+                 init_range=INIT_RANGE):
         if d % heads:
             raise ad.ShapeError(f"hidden size {d} not divisible by {heads} heads")
         self.vocab = vocab
@@ -81,7 +85,6 @@ class Model:
         self.heads = heads
         self.n_layers = layers
         self.max_len = max_len
-        self.use_fusion = use_fusion
         self.use_kb_copy = use_kb_copy
         self.use_ctx_copy = use_ctx_copy
         self.registry = {}
@@ -169,10 +172,8 @@ class Model:
             p.zero_grad()
 
     def encode_facts(self, examples, masks=None):
-        return enc.augment_facts(
-            [ex.fact for ex in examples], [ex.contexts for ex in examples], self.kb_emb.value,
-            self.encoder, self.fusion, use_fusion=self.use_fusion, masks=masks,
-        )
+        return enc.augment_facts([ex.fact for ex in examples], [ex.contexts for ex in examples],
+                                 self.kb_emb.value, self.encoder, self.fusion, masks=masks)
 
     def encode_fact(self, example):
         return self.encode_facts([example])

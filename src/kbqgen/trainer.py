@@ -52,7 +52,6 @@ class TrainConfig:
     layers: int = 2
     dropout: float = 0.1
     transe: bool = False
-    freeze_kb: bool = False
     transe_epochs: int = 40
     transe_margin: float = 1.0
     transe_lr: float = 0.01
@@ -61,7 +60,6 @@ class TrainConfig:
     grad_clip: float = 5.0
     patience: int = 0
     min_freq: int = 2
-    use_fusion: bool = True
     use_kb_copy: bool = True
     use_ctx_copy: bool = True
     diversified: bool = True
@@ -172,10 +170,10 @@ def parse_config(path=None, text=None, overrides=None):
 class RMSProp:
     """v <- rho v + (1-rho) g^2; theta <- theta - lr g / (sqrt(v) + eps)."""
 
-    def __init__(self, params, skip_names=()):
+    def __init__(self, params):
         self.params = list(params)
-        self.skip = set(skip_names)
-        self.moments = {p.name: np.zeros_like(p.value.data) for p in self.params}
+        # np.zeros leaves pages unmapped until the first step writes them; zeros_like writes them all
+        self.moments = {p.name: np.zeros(p.value.data.shape, p.value.data.dtype) for p in self.params}
 
     def step(self, lr, clip=0.0):
         """One update; returns the global gradient norm, before clipping.
@@ -184,8 +182,6 @@ class RMSProp:
         """
         norm_sq = 0.0
         for p in self.params:
-            if p.name in self.skip:
-                continue
             norm_sq += float((p.grad * p.grad).sum())
         norm = math.sqrt(norm_sq)
         if not math.isfinite(norm):
@@ -195,12 +191,11 @@ class RMSProp:
             for p in self.params:
                 p.value.grad *= factor
         for p in self.params:
-            if p.name not in self.skip:
-                g = p.grad
-                v = self.moments[p.name]
-                v *= RHO
-                v += (1.0 - RHO) * g * g
-                p.value.data -= lr * g / (np.sqrt(v) + EPSILON)
+            g = p.grad
+            v = self.moments[p.name]
+            v *= RHO
+            v += (1.0 - RHO) * g * g
+            p.value.data -= lr * g / (np.sqrt(v) + EPSILON)
             p.zero_grad()
         return norm
 
@@ -278,7 +273,7 @@ def _start_checkpoint(config, dataset, kb_matrix, resume, model):
                            {n: np.asarray(resume.moments[n], dtype) for n in model.registry},
                            resume.epoch, config)
     tensors = _weights(build_model(config, dataset, kb_matrix))
-    return _checkpoint(tensors, {n: np.zeros_like(a) for n, a in tensors.items()}, 0, config)
+    return _checkpoint(tensors, {n: np.zeros(a.shape, a.dtype) for n, a in tensors.items()}, 0, config)
 
 
 def load_word_vectors(path, vocab, d):
@@ -331,8 +326,7 @@ def _model(config, dataset, weights=None):
         dataset.vocab, dataset.kbvocab,
         d=config.d, heads=config.heads, layers=config.layers, seed=config.seed,
         max_len=config.max_len, weights=weights,
-        use_fusion=config.use_fusion, use_kb_copy=config.use_kb_copy,
-        use_ctx_copy=config.use_ctx_copy, dtype=config.np_dtype(),
+        use_kb_copy=config.use_kb_copy, use_ctx_copy=config.use_ctx_copy, dtype=config.np_dtype(),
     )
 
 
@@ -424,15 +418,13 @@ def train(config, dataset, kb_matrix=None, resume=None, log=None):
     train_examples = dataset.examples("train")
     for i, ex in enumerate(train_examples, 1):
         if len(ex.question) - 1 > config.max_len:  # one decoder step per token after BOS
-            f = ex.fact
-            fact = " ".join(dataset.kbvocab.token(k) for k in (f.subject, f.predicate, f.object))
-            raise ConfigError(f"train example {i} ({fact}): its question has {len(ex.question) - 1} "
-                              f"decoder steps, more than max_len={config.max_len}")
+            raise ConfigError(f"train example {i} ({dataset.kbvocab.fact_ids(ex.fact)}): its question has "
+                              f"{len(ex.question) - 1} decoder steps, more than max_len={config.max_len}")
     if resume is None and kb_matrix is None and config.transe:
         kb_matrix = pretrain_kb(config, dataset)  # kept, should the first epoch abort
     model = (build_model(config, dataset, kb_matrix=kb_matrix) if resume is None
              else model_from_checkpoint(config, dataset, resume))
-    optimizer = RMSProp(model.parameters(), skip_names=("kb_emb",) if config.freeze_kb else ())
+    optimizer = RMSProp(model.parameters())
     start_epoch = 0
     if resume is not None:
         check_fit("moment", resume.moments, {n: v.shape for n, v in optimizer.moments.items()})

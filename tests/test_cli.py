@@ -328,16 +328,27 @@ def test_generate_on_checkpoint_with_a_stale_confighash_is_exit_2(tmp_path, data
                "--split", "test", "--out", tmp_path / "gen.tsv") == 0
 
 
-def test_generate_on_checkpoint_with_an_unknown_config_key_is_exit_2(tmp_path, data_dir, trained, capsys):
-    # checkpoints written while question_only was a config key carry a question_only= line
+@pytest.mark.parametrize("line", ["question_only=false", "use_fusion=true", "freeze_kb=false"])
+def test_generate_on_checkpoint_with_an_unknown_config_key_is_exit_2(tmp_path, data_dir, trained, capsys,
+                                                                     line):
+    # checkpoints written while a retired key was a config key carry its line
     old = tmp_path / "old.ckpt"
-    resign_config(trained / "model" / "model.ckpt", old, "patience=0", "question_only=false")
-    lineno = textckpt.read(old)[0]["config"].index("question_only=false") + 1
+    resign_config(trained / "model" / "model.ckpt", old, "patience=0", line)
+    lineno = textckpt.read(old)[0]["config"].index(line) + 1
     code = run("generate", "--checkpoint", old, "--data-dir", data_dir,
                "--split", "test", "--out", tmp_path / "gen.tsv")
     assert code == 2 and not (tmp_path / "gen.tsv").exists()
     err = capsys.readouterr().err
-    assert err == f"error: {old}: config line {lineno}: unknown config key 'question_only'\n"
+    key = line.split("=")[0]
+    assert err == f"error: {old}: config line {lineno}: unknown config key '{key}'\n"
+
+
+@pytest.mark.parametrize("override", ["use_fusion=false", "freeze_kb=true"])
+def test_retired_config_key_override_is_exit_2(tmp_path, data_dir, capsys, override):
+    assert run("train", "--data-dir", data_dir, "--out-dir", tmp_path / "out", "--set", override) == 2
+    key = override.split("=")[0]
+    assert capsys.readouterr().err == f"error: override: unknown config key '{key}'\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_over_long_question_is_exit_2_before_any_epoch(tmp_path, data_dir, capsys):

@@ -322,9 +322,9 @@ def test_augment_fact_shapes_and_order():
     out = enc.augment_facts([fact], [ctx], m.kb_emb.value, m.encoder, m.fusion)
     assert out.h_f.shape == (3, m.d)
     assert out.context_rows.shape == (5, m.d)
-    # without fusion the rows are the raw KB embeddings
-    bare = enc.augment_facts([fact], [ctx], m.kb_emb.value, m.encoder, m.fusion, use_fusion=False)
-    assert np.array_equal(bare.h_f.data, m.kb_emb.value.data[[0, 3, 2]])
+    # the rows are the s, p, o KB embeddings, each fused with its own context
+    fused, _ = enc.fusion_forward(m.kb_emb.value.data[[0, 3, 2]], out.context_rows.data, [2, 1, 2], m.fusion)
+    assert np.array_equal(out.h_f.data, fused)
 
 
 def test_fusion_path_gradients():

@@ -3,6 +3,7 @@ import pytest
 
 from kbqgen import autodiff as ad
 from kbqgen import corpus
+from kbqgen import encoder as enc
 from kbqgen import kbembed as kb
 from kbqgen.corpus import BOS, EOS, ContextSet, Example, Fact, KBVocab, Vocab
 from kbqgen.model import Model
@@ -184,10 +185,10 @@ def test_pretrain_transe_is_bit_identical_to_the_reference(tmp_path, make_kb, kw
     assert all(type(loss) is float for loss in emb.epoch_losses)
 
 
-def bare_kb_model(table):
-    """A model whose fact rows are the gathered KB rows, without fusion."""
+def kb_model(table):
+    """A model over five entities and one predicate whose KB table is ``table``."""
     kbvocab = KBVocab([f"e{i}" for i in range(5)], ["p0"])
-    model = Model(Vocab(["w"]), kbvocab, d=4, heads=2, layers=1, use_fusion=False)
+    model = Model(Vocab(["w"]), kbvocab, d=4, heads=2, layers=1)
     model.kb_emb.value.data[...] = table
     return model
 
@@ -203,22 +204,24 @@ def kb_example(fact):
 
 def test_lookup_rows_and_gradients():
     emb = kb.init_random(6, 4, seed=0)
-    model = bare_kb_model(emb.table)
-    h_f = model.encode_fact(kb_example(Fact(0, 0, 0))).h_f
-    e_s, e_p, e_o = h_f.data
-    assert np.array_equal(e_s, e_p) and np.array_equal(e_s, e_o)
-    assert np.array_equal(e_s, emb.table[0])
+    model = kb_model(emb.table)
+    out = model.encode_fact(kb_example(Fact(0, 0, 0)))
+    # the fact rows are the looked-up table rows, each through the gated unit
+    rows = ad.Tensor(emb.table[[0, 0, 0]], requires_grad=True)
+    alone = enc.fuse(rows, ad.tensor(out.context_rows.data), [1, 1, 1], model.fusion)
+    assert np.array_equal(out.h_f.data, alone.data)
     model.zero_grads()
-    ad.backward(ad.sum_all(h_f))
-    # the gather scatter-adds one unit per occurrence into the table
-    assert np.allclose(model.kb_emb.grad[0], 3.0)
-    assert np.allclose(model.kb_emb.grad[1:], 0.0)
+    ad.backward(ad.sum_all(out.h_f))
+    ad.backward(ad.sum_all(alone))
+    # the lookup scatter-adds each occurrence's row gradient into the table
+    assert np.allclose(model.kb_emb.grad[0], rows.grad.sum(axis=0), rtol=1e-12, atol=0)
+    assert np.array_equal(model.kb_emb.grad[1:], np.zeros((5, 4)))
 
 
 def test_lookup_is_pure():
     emb = kb.init_random(6, 4, seed=0)
     table = emb.table.copy()
-    model = bare_kb_model(emb.table)
+    model = kb_model(emb.table)
     before = model.kb_emb.value.data.copy()
     model.encode_fact(kb_example(Fact(1, 5, 2)))
     model.encode_fact(kb_example(Fact(1, 5, 2)))

@@ -418,16 +418,6 @@ def test_divergence_aborts_with_last_finite(dataset):
             assert np.all(np.isfinite(arr))
 
 
-def test_freeze_kb_flag(dataset):
-    cfg = desk_config(epochs=1, freeze_kb=True)
-    result = tr.train(cfg, dataset)
-    fresh = tr.build_model(cfg, dataset)
-    assert np.array_equal(result.last.tensors["kb_emb"], fresh.registry["kb_emb"].value.data)
-    cfg2 = desk_config(epochs=1, freeze_kb=False)
-    moved = tr.train(cfg2, dataset)
-    assert not np.array_equal(moved.last.tensors["kb_emb"], fresh.registry["kb_emb"].value.data)
-
-
 def test_word_vector_file_seeds_embeddings(dataset, tmp_path):
     # the synthetic templates are "can you name the ... ?" and "what ... ?",
     # so "what" is always in the vocabulary and the seeded row is a real one

@@ -43,14 +43,13 @@ def cmd_train(args):
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset = cp.load_dataset(args.data_dir, diversified=cfg.diversified, min_freq=cfg.min_freq)
-    log_lines = []
 
-    def log(epoch, loss, bleu):
-        log_lines.append(f"{epoch}\t{loss:.6f}\t{bleu:.4f}")
-        print(log_lines[-1])
+    def line(epoch, loss, bleu):
+        return f"{epoch}\t{loss:.6f}\t{bleu:.4f}"
 
-    result = tr.train(cfg, dataset, log=log)
-    (out_dir / "train_log.tsv").write_text("".join(l + "\n" for l in log_lines), encoding="utf-8")
+    result = tr.train(cfg, dataset, log=lambda *row: print(line(*row)))
+    (out_dir / "train_log.tsv").write_text("".join(line(*row) + "\n" for row in result.history),
+                                           encoding="utf-8")
     (out_dir / "config.txt").write_text(cfg.canonical_text(), encoding="utf-8")
     tr.save_checkpoint(result.best, out_dir / "model.ckpt")
     if result.aborted:
@@ -109,9 +108,7 @@ def cmd_eval(args):
             )
         candidates.append(parts[1].split())
         ann_rows.append((parts[0], " ".join(example.contexts.predicate_words), parts[1]))
-    references = [list(ex.raw_question_words) for ex in examples]
-    answer_sets = [set(ex.answer_type_words) for ex in examples]
-    report = metrics.evaluate(candidates, references, answer_sets)
+    report = metrics.evaluate(candidates, examples)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -144,24 +141,24 @@ def _gradcheck_fixture(cfg):
     words = (("w1", "w2", "w3"), ("w4", "w2", "w5"), ("w6", "w7", "w2"))  # subject, predicate, object
     contexts = cp.ContextSet(*words, *map(vocab.ids, words))
     question = ("w1", "w4", "<subj>", "w6", "?")
-    example = cp.Example(
-        fact=cp.Fact(0, 3, 2),
-        contexts=contexts,
-        question=(cp.BOS, *vocab.ids(question), cp.EOS),
-        question_words=question,
-        raw_question_words=question,
+    example = cp.Example(  # the question as substituted and as written are the same
+        cp.Fact(0, 3, 2), contexts, (cp.BOS, *vocab.ids(question), cp.EOS), question, question,
         answer_type_words=("w2", "w6"),
         subject_span=(2, 1),
     )
     model = Model(
         vocab, kbvocab, d=cfg.d, heads=cfg.heads, layers=cfg.layers,
         seed=cfg.seed, max_len=cfg.max_len, init_range=0.5,
+        use_kb_copy=cfg.use_kb_copy, use_ctx_copy=cfg.use_ctx_copy,
     )
     return model, example
 
 
 def cmd_gradcheck(args):
     cfg = _config_from_args(args, extra_overrides=["d=8", "heads=2", "layers=1"])
+    if cfg.dtype != "float64":
+        raise tr.ConfigError(f"gradcheck runs in float64 only: finite differences are not "
+                             f"trustworthy in {cfg.dtype}")
     model, example = _gradcheck_fixture(cfg)
 
     def f():

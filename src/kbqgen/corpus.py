@@ -470,7 +470,6 @@ def synth_corpus(seed, n_entities, n_predicates, n_facts):
         by_type.setdefault(ent.notable_type[0], []).append(i)
     type_names = sorted(by_type)
 
-    broad_of = dict((n, f) for f, n in _TYPES)
     predicates = []
     templates = []
     domain_types = []

@@ -364,14 +364,14 @@ def step_distributions(states, prev_emb, fact_enc, copy, params,
 
 
 def surface_realize(tokens, subject_name):
-    """Expand the subject placeholder into the full name; join with spaces."""
+    """The tokens with each subject placeholder expanded into the full name's tokens."""
     out = []
     for tok in tokens:
         if tok == "<subj>":
             out.extend(subject_name)
         else:
             out.append(tok)
-    return " ".join(out)
+    return out
 
 
 def _feedback_id(ext_id, vocab_size):

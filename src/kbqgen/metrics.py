@@ -4,7 +4,8 @@ All metrics take token lists (one candidate per reference, as in the
 single-gold-question dataset) and return percentages in [0, 100]. METEOR
 here is the dependency-free variant: exact matches, then one-suffix
 stemming; no synonym resources, so scores are comparable only against this
-module's own formula.
+module's own formula. ``evaluate`` scores a split's generations against the
+split's own examples; every consumer of a split's scores goes through it.
 """
 
 from __future__ import annotations
@@ -85,23 +86,28 @@ def _lcs_length(a, b):
     return prev[-1]
 
 
-def rouge_l(candidates, references, beta=1.2):
-    """Mean per-example LCS F-measure."""
+def _mean_score(score, candidates, references):
+    """100 times the mean of score(cand, ref) over aligned lists; 0.0 for none."""
     if len(candidates) != len(references):
         raise ValueError("candidate/reference count mismatch")
     if not candidates:
         return 0.0
-    scores = []
-    for cand, ref in zip(candidates, references):
-        cand, ref = list(cand), list(ref)
-        lcs = _lcs_length(cand, ref)
-        if lcs == 0 or not cand or not ref:
-            scores.append(0.0)
-            continue
+    scores = [score(list(cand), list(ref)) for cand, ref in zip(candidates, references)]
+    return 100.0 * sum(scores) / len(scores)
+
+
+def rouge_l(candidates, references, beta=1.2):
+    """Mean per-example LCS F-measure."""
+
+    def f_measure(cand, ref):
+        lcs = _lcs_length(cand, ref)  # 0 when either is empty
+        if lcs == 0:
+            return 0.0
         p = lcs / len(cand)
         r = lcs / len(ref)
-        scores.append((1 + beta**2) * r * p / (r + beta**2 * p))
-    return 100.0 * sum(scores) / len(scores)
+        return (1 + beta**2) * r * p / (r + beta**2 * p)
+
+    return _mean_score(f_measure, candidates, references)
 
 
 def _stem(token):
@@ -143,6 +149,18 @@ def _chunks(pairs):
     return chunks
 
 
+def _meteor_one(cand, ref):
+    pairs = _align(cand, ref)
+    m = len(pairs)  # 0 when either is empty
+    if m == 0:
+        return 0.0
+    p = m / len(cand)
+    r = m / len(ref)
+    f_mean = 10.0 * p * r / (r + 9.0 * p)
+    penalty = 0.5 * (_chunks(pairs) / m) ** 3
+    return f_mean * (1.0 - penalty)
+
+
 def meteor_lite(candidates, references):
     """Unigram F (recall-weighted 9:1) with a fragmentation penalty.
 
@@ -150,24 +168,7 @@ def meteor_lite(candidates, references):
     therefore at most 0.5 and vanishes for a single contiguous alignment of
     a long sentence.
     """
-    if len(candidates) != len(references):
-        raise ValueError("candidate/reference count mismatch")
-    if not candidates:
-        return 0.0
-    scores = []
-    for cand, ref in zip(candidates, references):
-        cand, ref = list(cand), list(ref)
-        pairs = _align(cand, ref)
-        m = len(pairs)
-        if m == 0 or not cand or not ref:
-            scores.append(0.0)
-            continue
-        p = m / len(cand)
-        r = m / len(ref)
-        f_mean = 10.0 * p * r / (r + 9.0 * p)
-        penalty = 0.5 * (_chunks(pairs) / m) ** 3
-        scores.append(f_mean * (1.0 - penalty))
-    return 100.0 * sum(scores) / len(scores)
+    return _mean_score(_meteor_one, candidates, references)
 
 
 def _first_answer_words(candidates, answer_word_sets):
@@ -188,36 +189,34 @@ def answer_coverage(candidates, answer_word_sets):
     return _percent([m is not None for m in _first_answer_words(candidates, answer_word_sets)])
 
 
-def evaluate(candidates, references, answer_word_sets):
-    """Full report over aligned candidate/reference/answer-set lists."""
+def evaluate(candidates, examples):
+    """Full report on a split's generations, one token list per example, in split order.
+
+    The one place that decides what a split is scored against: every score reads each
+    example's gold question as written (subject name included) and its answer words.
+    """
+    references = [ex.raw_question_words for ex in examples]
     scores = [metric(candidates, references) for metric in (bleu4, rouge_l, meteor_lite)]
-    matches = _first_answer_words(candidates, answer_word_sets)
+    matches = _first_answer_words(candidates, [ex.answer_type_words for ex in examples])
     records = [ExampleRecord(" ".join(cand), " ".join(ref), matched is not None, matched)
                for cand, ref, matched in zip(candidates, references, matches)]
     return EvalReport(*scores, answer_coverage=_percent([r.covered for r in records]), records=records)
 
 
+# (EvalReport field, label) of each score, in report order
+_REPORT_ROWS = (("bleu4", "BLEU-4"), ("rouge_l", "ROUGE-L"), ("meteor", "METEOR-lite"),
+                ("answer_coverage", "Answer coverage"))
+
+
 def report_lines(report):
     """Machine-readable metric<TAB>value lines."""
-    return [
-        f"bleu4\t{report.bleu4:.4f}",
-        f"rouge_l\t{report.rouge_l:.4f}",
-        f"meteor\t{report.meteor:.4f}",
-        f"answer_coverage\t{report.answer_coverage:.4f}",
-    ]
+    return [f"{key}\t{getattr(report, key):.4f}" for key, _ in _REPORT_ROWS]
 
 
 def report_table(report):
     """Aligned human-readable table."""
-    rows = [
-        ("BLEU-4", report.bleu4),
-        ("ROUGE-L", report.rouge_l),
-        ("METEOR-lite", report.meteor),
-        ("Answer coverage", report.answer_coverage),
-    ]
-    width = max(len(name) for name, _ in rows)
-    lines = [f"{name:<{width}}  {value:8.4f}" for name, value in rows]
-    return "\n".join(lines)
+    width = max(len(label) for _, label in _REPORT_ROWS)
+    return "\n".join(f"{label:<{width}}  {getattr(report, key):8.4f}" for key, label in _REPORT_ROWS)
 
 
 def export_annotation_sample(rows, n, seed, path):

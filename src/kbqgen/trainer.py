@@ -383,17 +383,14 @@ def decode_split(model, dataset, split, beam=1, max_len=32):
         else:
             tokens, modes = dec.beam_decode(model, example, beam_width=beam, max_len=max_len)
         name = dataset.entities[dataset.kbvocab.token(example.fact.subject)].name
-        realized = dec.surface_realize(tokens, name).split()
-        outputs.append((realized, modes))
+        outputs.append((dec.surface_realize(tokens, name), modes))
     return outputs
 
 
-def valid_bleu(model, dataset, max_len=32):
-    decoded = decode_split(model, dataset, "valid", max_len=max_len)
-    return metrics.bleu4(
-        [tokens for tokens, _ in decoded],
-        [list(ex.raw_question_words) for ex in dataset.examples("valid")],
-    )
+def score_split(model, dataset, split, max_len=32):
+    """metrics.evaluate's report on a greedy decode of the split."""
+    decoded = decode_split(model, dataset, split, max_len=max_len)
+    return metrics.evaluate([tokens for tokens, _ in decoded], dataset.examples(split))
 
 
 def _epoch_rng(seed, epoch):
@@ -405,9 +402,10 @@ def train(config, dataset, kb_matrix=None, resume=None, log=None):
 
     Per epoch: seeded shuffle, one recorded graph and one reverse sweep per
     chunk of each batch, one RMSProp step per batch at lr0 * decay^epoch,
-    then greedy BLEU-4 on the validation split. Without a validation split (absent or empty) the best
-    checkpoint is the last one. A loss or gradient norm that is not finite
-    aborts with the last finite checkpoint.
+    then score_split on the validation split, whose BLEU-4 picks the best
+    epoch. Without a validation split (absent or empty) the best checkpoint
+    is the last one. A loss or gradient norm that is not finite aborts with
+    the last finite checkpoint.
 
     Every epoch's checkpoint but the last (by epochs or patience) is a copy;
     the last, like a run with no epoch to run, holds the model's and the
@@ -463,7 +461,7 @@ def train(config, dataset, kb_matrix=None, resume=None, log=None):
                 best = last = _start_checkpoint(config, dataset, kb_matrix, resume, model)
             return TrainResult(best=best, last=last, history=history, validated=validate, aborted=True)
         mean_loss = epoch_loss / max(len(train_examples), 1)
-        bleu = valid_bleu(model, dataset, max_len=config.max_len) if validate else 0.0
+        bleu = score_split(model, dataset, "valid", max_len=config.max_len).bleu4 if validate else 0.0
         history.append((epoch + 1, mean_loss, bleu))
         if log is not None:
             log(*history[-1])
@@ -519,8 +517,8 @@ def ablate(config, load_dataset_fn, grid, seeds, log=None):
     """Run each cell of GRIDS[grid] for each seed; one row per cell and seed, in table order.
 
     A run trains config with the seed and the cell's keys set, rebuilds the
-    model from its best checkpoint and decodes the grid's split once for
-    BLEU-4 and answer coverage. ``load_dataset_fn(diversified)`` supplies
+    model from its best checkpoint and reads BLEU-4 and answer coverage from
+    score_split on the grid's split. ``load_dataset_fn(diversified)`` supplies
     the data, since that key changes the data itself; each distinct dataset
     is loaded once. TransE is pretrained at most once per seed and shared by
     the cells that use it: they all keep the same facts. Every seed (each
@@ -543,11 +541,9 @@ def ablate(config, load_dataset_fn, grid, seeds, log=None):
             kb_by_seed[run_cfg.seed] = pretrain_kb(run_cfg, dataset)
         kb_matrix = kb_by_seed[run_cfg.seed] if run_cfg.transe else None
         model = model_from_checkpoint(run_cfg, dataset, train(run_cfg, dataset, kb_matrix).best)
-        tokens = [t for t, _ in decode_split(model, dataset, split, max_len=run_cfg.max_len)]
-        examples = dataset.examples(split)
-        bleu = metrics.bleu4(tokens, [list(ex.raw_question_words) for ex in examples])
-        coverage = metrics.answer_coverage(tokens, [set(ex.answer_type_words) for ex in examples])
-        rows.append({"cell": name, "seed": run_cfg.seed, "bleu4": bleu, "answer_coverage": coverage})
+        report = score_split(model, dataset, split, max_len=run_cfg.max_len)
+        rows.append({"cell": name, "seed": run_cfg.seed, "bleu4": report.bleu4,
+                     "answer_coverage": report.answer_coverage})
         if log is not None:
             log(rows[-1])
     return rows

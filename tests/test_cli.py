@@ -1,5 +1,7 @@
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kbqgen import cli
@@ -376,6 +378,82 @@ def test_gradcheck_command(capsys):
     assert run("gradcheck", "--seed", 0) == 0
     out = capsys.readouterr().out
     assert "worst relative error" in out
+
+
+@pytest.mark.parametrize("switch", ["use_ctx_copy", "use_kb_copy"])
+def test_gradcheck_checks_the_model_with_a_copy_mode_off(capsys, monkeypatch, switch):
+    checked = []
+    fixture = cli._gradcheck_fixture
+
+    def spy(cfg):
+        checked.append(fixture(cfg))
+        return checked[-1]
+
+    monkeypatch.setattr(cli, "_gradcheck_fixture", spy)
+    assert run("gradcheck", "--set", f"{switch}=false") == 0
+    assert "worst relative error" in capsys.readouterr().out
+    (model, _), = checked
+    assert getattr(model, switch) is False
+    other = {"use_ctx_copy": "use_kb_copy", "use_kb_copy": "use_ctx_copy"}[switch]
+    assert getattr(model, other) is True and model.kb_emb.value.data.dtype == np.float64
+
+
+def test_gradcheck_refuses_float32(capsys):
+    assert run("gradcheck", "--set", "dtype=float32") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: gradcheck runs in float64 only: finite differences are not "
+                            "trustworthy in float32\n")
+
+
+def test_eval_validation_and_the_trainer_score_the_written_question(tmp_path, data_dir, trained):
+    """kbqgen eval, training's validation and trainer.score_split agree, and score raw_question_words."""
+    from kbqgen import metrics
+
+    ckpt_path = trained / "model" / "model.ckpt"
+    gen = tmp_path / "gen.tsv"
+    assert run("generate", "--checkpoint", ckpt_path, "--data-dir", data_dir, "--split", "valid",
+               "--out", gen) == 0
+    assert run("eval", "--generations", gen, "--data-dir", data_dir, "--split", "valid",
+               "--out", tmp_path / "eval") == 0
+    reported = dict(l.split("\t") for l in (tmp_path / "eval" / "report.tsv").read_text().splitlines())
+
+    ckpt = tr.load_checkpoint(ckpt_path)
+    cfg = tr.parse_config(text=ckpt.config_text)
+    dataset = cp.load_dataset(data_dir)
+    model = tr.model_from_checkpoint(cfg, dataset, ckpt)
+    report = tr.score_split(model, dataset, "valid", max_len=cfg.max_len)
+    examples = dataset.examples("valid")
+    tokens = [line.split("\t")[1].split() for line in gen.read_text().splitlines()]
+    written = [ex.raw_question_words for ex in examples]
+    assert written != [ex.question_words for ex in examples]
+    bleu = f"{metrics.bleu4(tokens, written):.4f}"
+    coverage = f"{metrics.answer_coverage(tokens, [ex.answer_type_words for ex in examples]):.4f}"
+    assert reported["bleu4"] == f"{report.bleu4:.4f}" == bleu
+    assert reported["answer_coverage"] == f"{report.answer_coverage:.4f}" == coverage
+    logged = dict(l.split("\t")[::2] for l in (trained / "model" / "train_log.tsv").read_text().splitlines())
+    assert logged[str(ckpt.epoch)] == bleu
+
+
+def test_diverged_train_logs_the_finished_epochs(tmp_path, data_dir, capsys, monkeypatch):
+    steps = math.ceil(len(cp.load_dataset(data_dir).examples("train")) / 16)  # RMSProp steps per epoch
+    original, taken = tr.RMSProp.step, []
+
+    def inf_in_epoch_2(self, lr, clip=0.0):
+        taken.append(lr)
+        if len(taken) == steps + 1:
+            self.params[0].value.grad[0, 0] = np.inf
+        return original(self, lr, clip)
+
+    monkeypatch.setattr(tr.RMSProp, "step", inf_in_epoch_2)
+    out = tmp_path / "out"
+    assert run("train", "--data-dir", data_dir, "--out-dir", out, "--set", "epochs=3",
+               "--set", "d=16", "--set", "heads=2", "--set", "layers=1") == 1
+    captured = capsys.readouterr()
+    assert captured.err == "training diverged; kept last finite checkpoint\n"
+    log = (out / "train_log.tsv").read_text()
+    assert log == captured.out and log.startswith("1\t") and log.count("\n") == 1
+    assert tr.load_checkpoint(out / "model.ckpt").epoch == 1
 
 
 def test_log_format(trained):

@@ -753,8 +753,8 @@ def test_surface_realize_expands_subject():
         ["which", "city", "is", "<subj>", "located", "in", "?"],
         ("statue", "of", "liberty"),
     )
-    assert out == "which city is statue of liberty located in ?"
+    assert out == ["which", "city", "is", "statue", "of", "liberty", "located", "in", "?"]
 
 
 def test_surface_realize_identity_without_placeholder():
-    assert dec.surface_realize(["what", "is", "this", "?"], ("x",)) == "what is this ?"
+    assert dec.surface_realize(["what", "is", "this", "?"], ("x",)) == ["what", "is", "this", "?"]

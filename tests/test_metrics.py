@@ -1,5 +1,6 @@
 import math
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 
@@ -121,11 +122,18 @@ def test_metrics_permutation_invariant():
     )
 
 
+def scored_example(written, substituted, answers):
+    """The fields of a corpus Example that metrics.evaluate may read."""
+    return SimpleNamespace(raw_question_words=tuple(written.split()),
+                           question_words=tuple(substituted.split()), answer_type_words=answers)
+
+
 def test_evaluate_report_and_lines():
     cands = toks("which city is it ?", "what is that ?")
-    refs = toks("which city is it ?", "what is this ?")
-    answers = [{"city"}, {"thing"}]
-    report = mt.evaluate(cands, refs, answers)
+    examples = [scored_example("which city is it ?", "which city is <subj> ?", ("city",)),
+                scored_example("what is this ?", "what is <subj> ?", ("thing",))]
+    report = mt.evaluate(cands, examples)
+    assert report.records[0].reference == "which city is it ?"  # the question as written
     assert report.bleu4 <= 100.0
     assert report.records[0].covered and not report.records[1].covered
     assert report.records[0].matched_answer_word == "city"

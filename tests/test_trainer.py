@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -208,7 +209,7 @@ def test_first_epoch_abort_of_a_resume_returns_the_resume_checkpoint(dataset, mo
 @pytest.mark.parametrize("epochs, patience", [(3, 0), (5, 2)])
 def test_an_earlier_best_checkpoint_shares_no_memory_with_the_last(dataset, monkeypatch, epochs, patience):
     bleus = iter([0.5, 0.2, 0.1])  # the first epoch is best; patience 2 stops after the third
-    monkeypatch.setattr(tr, "valid_bleu", lambda *a, **kw: next(bleus))
+    monkeypatch.setattr(tr, "score_split", lambda *a, **kw: SimpleNamespace(bleu4=next(bleus)))
     result = tr.train(desk_config(epochs=epochs, patience=patience, dropout=0.1), dataset)
     monkeypatch.undo()
     assert result.validated and (result.best.epoch, result.last.epoch) == (1, 3)

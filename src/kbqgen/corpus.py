@@ -14,9 +14,11 @@ safe to share read-only.
 
 from __future__ import annotations
 
+import gc
 import io
 import re
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from pathlib import Path
@@ -45,7 +47,7 @@ def tokenize(text):
     return _TOKEN_RE.findall(text.lower())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fact:
     """A (subject, predicate, object) triple as dense KB-vocabulary indices."""
 
@@ -54,7 +56,7 @@ class Fact:
     object: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PredicateRecord:
     id: str
     domain_words: tuple
@@ -63,7 +65,7 @@ class PredicateRecord:
     ds_patterns: tuple  # tuple of token tuples, possibly empty
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EntityRecord:
     id: str
     name: tuple
@@ -71,7 +73,7 @@ class EntityRecord:
     notable_type: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContextSet:
     """Deduplicated textual contexts for the three atoms of one fact.
 
@@ -100,7 +102,7 @@ class ContextSet:
         return self.subject_words + self.predicate_words + self.object_words
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Example:
     fact: Fact
     contexts: ContextSet
@@ -315,6 +317,19 @@ def load_facts(path, kbvocab):
     return rows
 
 
+@contextmanager
+def _collector_paused():
+    """Automatic cyclic garbage collection off for the block, then as it was."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_collector_paused()
 def load_dataset(data_dir, diversified=True, min_freq=2):
     """Load a corpus directory into Examples with a train-derived vocabulary.
 
@@ -324,6 +339,12 @@ def load_dataset(data_dir, diversified=True, min_freq=2):
     context words, their word ids and their sorted set (an object's answer
     words) are built once, and each fact's ContextSet once, so examples share
     them.
+
+    The load runs with automatic cyclic collection paused, and the collector
+    is left as it was found, also when a file is refused. A load builds
+    several objects per row, none in a reference cycle and all kept, so each
+    collector pass over them would free nothing; on a 20,000-fact corpus the
+    passes cost about a fifth of the load.
     """
     data_dir = Path(data_dir)
     entities, predicates, kbvocab = load_kb(

@@ -404,8 +404,8 @@ def train(config, dataset, kb_matrix=None, resume=None, log=None):
     chunk of each batch, one RMSProp step per batch at lr0 * decay^epoch,
     then score_split on the validation split, whose BLEU-4 picks the best
     epoch. Without a validation split (absent or empty) the best checkpoint
-    is the last one. A loss or gradient norm that is not finite aborts with
-    the last finite checkpoint.
+    is the last one. A loss or gradient norm that is not finite, or a forward
+    pass that raises NumericError, aborts with the last finite checkpoint.
 
     Every epoch's checkpoint but the last (by epochs or patience) is a copy;
     the last, like a run with no epoch to run, holds the model's and the
@@ -445,7 +445,11 @@ def train(config, dataset, kb_matrix=None, resume=None, log=None):
             for chunk_start in range(0, len(batch), CHUNK):
                 chunk = batch[chunk_start : chunk_start + CHUNK]
                 drops = [_dropout(config, epoch, idx) for idx in chunk] if config.dropout > 0 else None
-                total, breakdowns = batch_loss(model, [train_examples[i] for i in chunk], config, drops)
+                try:
+                    total, breakdowns = batch_loss(model, [train_examples[i] for i in chunk], config, drops)
+                except ad.NumericError:  # a forward-pass check met weights gone non-finite
+                    diverged = True
+                    break
                 losses = [b.total_loss for b in breakdowns]
                 if not all(map(math.isfinite, losses)):
                     diverged = True

@@ -1,3 +1,5 @@
+import dataclasses
+import gc
 import tempfile
 from pathlib import Path
 
@@ -115,6 +117,44 @@ def test_load_dataset_refuses_a_whitespace_question(tmp_path):
     with pytest.raises(cp.IngestionError) as exc:
         _load_tiny(tmp_path, "where is it ?", " \u3000 ")
     assert str(exc.value) == f"{tmp_path / 'facts.train.tsv'}:2: empty question"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("refused", [False, True])
+def test_load_dataset_pauses_the_collector_and_restores_it(tmp_path, monkeypatch, enabled, refused):
+    _tiny_kb(tmp_path)
+    rows = "e0\tp0\te2\twhere is it ?\n" + ("e0\tp0\te2\twhere\tis it ?\n" if refused else "")
+    (tmp_path / "facts.train.tsv").write_text(rows, encoding="utf-8")
+    seen = []
+    tokenize = cp.tokenize
+    monkeypatch.setattr(cp, "tokenize", lambda text: seen.append(gc.isenabled()) or tokenize(text))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if refused:  # the second train row has five columns
+            with pytest.raises(cp.IngestionError, match=":2: expected 4 tab-separated columns, got 5"):
+                cp.load_dataset(tmp_path)
+        else:
+            cp.load_dataset(tmp_path)
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen and not any(seen)
+    assert after is enabled
+
+
+def test_records_are_slotted_frozen_values(tmp_path):
+    dataset = _load_tiny(tmp_path, "which city is statue of liberty located in?")
+    (ex,) = dataset.examples("train")
+    for rec in (ex.fact, dataset.predicates["p1"], dataset.entities["e0"], ex.contexts, ex):
+        assert not hasattr(rec, "__dict__"), type(rec)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(rec, dataclasses.fields(rec)[0].name, None)
+        twin = dataclasses.replace(rec)
+        assert twin is not rec and twin == rec and hash(twin) == hash(rec), type(rec)
+    # a Fact rebuilt from its ids finds the ContextSet that its first example keyed
+    assert {ex.fact: ex.contexts}[cp.Fact(0, 3, 2)] is ex.contexts
+    assert dataclasses.replace(ex.fact, object=1) != ex.fact
 
 
 def test_substitute_subject_first_occurrence_only():

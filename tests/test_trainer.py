@@ -411,6 +411,27 @@ def test_lambda_zero_bit_identical_to_question_loss_alone(dataset):
     assert any(b.ans_loss > 0 for b in breakdowns)
 
 
+def test_a_forward_pass_that_raises_takes_the_divergence_abort(dataset, monkeypatch):
+    cfg = desk_config(epochs=3, batch_size=4)
+    original, steps = tr.RMSProp.step, []
+
+    def inject(self, lr, clip=0.0):
+        norm = original(self, lr, clip)
+        steps.append(lr)
+        if len(steps) == 1:  # the next forward pass meets NaN KB rows
+            next(p for p in self.params if p.name == "kb_emb").value.data[...] = np.nan
+        return norm
+
+    monkeypatch.setattr(tr.RMSProp, "step", inject)
+    result = tr.train(cfg, dataset)
+    monkeypatch.undo()
+    assert len(steps) == 1
+    assert result.aborted and result.history == [] and result.best is result.last and result.last.epoch == 0
+    fresh = tr.build_model(cfg, dataset)
+    for name, p in fresh.registry.items():
+        assert np.array_equal(result.last.tensors[name], p.value.data), name
+
+
 def test_divergence_aborts_with_last_finite(dataset):
     cfg = desk_config(epochs=3, lr0=1e6, grad_clip=0.0)
     result = tr.train(cfg, dataset)
